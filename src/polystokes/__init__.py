@@ -14,8 +14,8 @@ from .edge_pencil import (DihedronPencil, MuValue, Spectrum, WindowError,
                           assemble_pencil, dd_nn_residual, lambda1_of_edge,
                           mu_k, mu_lower_bound, mu_of_edge_point, mu_real_root,
                           solve_spectrum, MU_THRESHOLD_TWO_THIRDS)
-from .vertex_pencil import (Strip, StripFinding, eigenfree_strip,
-                            known_exceptional, strip_condition_holds)
+from .vertex_pencil import (StripFinding, eigenfree_strip, known_exceptional,
+                            strip_condition_holds)
 from .spaces import (EmbeddingJudgment, Eps, SpaceDescriptor, embeds,
                      holder_embeds, sigma_exponents)
 from .regularity import (DataFlags, DecisionRow, Interval, ProblemSpec,
@@ -34,8 +34,7 @@ __all__ = [
     "dd_nn_residual", "lambda1_of_edge", "mu_k", "mu_lower_bound",
     "mu_of_edge_point", "mu_real_root", "solve_spectrum",
     "MU_THRESHOLD_TWO_THIRDS",
-    "Strip", "StripFinding", "eigenfree_strip", "known_exceptional",
-    "strip_condition_holds",
+    "StripFinding", "eigenfree_strip", "known_exceptional", "strip_condition_holds",
     "EmbeddingJudgment", "Eps", "SpaceDescriptor", "embeds", "holder_embeds",
     "sigma_exponents",
     "DataFlags", "DecisionRow", "Interval", "ProblemSpec", "RegularityQuery",

@@ -19,7 +19,7 @@ from . import fixtures
 from .edge_pencil import (DihedronPencil, MU_THRESHOLD_TWO_THIRDS, mu_numeric,
                           mu_real_root, pencil_residual, solve_spectrum)
 from .geometry import DomainFileError, MeshError, load_polyhedron
-from .regularity import (DataFlags, Interval, ProblemSpec, RegularityQuery,
+from .regularity import (TARGETS, DataFlags, Interval, ProblemSpec, RegularityQuery,
                          check, decision_table, max_s)
 
 __all__ = ["main", "parse_theta", "verification_rows", "run_fixture_rows", "FixtureRow"]
@@ -72,8 +72,7 @@ def _platonic_sin(name: str) -> float:
 
 def _step_bound(target: str) -> float:
     step = fixtures.step_prism()
-    spec = ProblemSpec(step, fixtures.with_conditions(step, 0),
-                       DataFlags(True, True, True, True, True))
+    spec = ProblemSpec(step, fixtures.with_conditions(step, 0))
     iv = max_s(spec, target).s_interval
     return float(iv.hi)
 
@@ -249,7 +248,6 @@ def _cmd_analyze(args) -> int:
     flags = DataFlags(
         data_in_required_spaces="data" in assumed,
         compatibility_conditions_hold="compatibility" in assumed,
-        L_V_trivial="rigid-motions-trivial" in assumed,
         small_data="small-data" in assumed,
         lipschitz_graph="lipschitz" in assumed,
     )
@@ -259,38 +257,28 @@ def _cmd_analyze(args) -> int:
     targets = args.target or ["w1", "w2", "exist"]
     for t in targets:
         t = t.lower()
-        if t in ("w1", "w2"):
-            target = t.upper()
-            if args.s is not None:
+        target = t.upper()
+        if target not in TARGETS:
+            print("unknown target %r" % t, file=sys.stderr)
+            return 1
+        holder = target in ("C1", "C2")
+        if holder and args.sigma is None:
+            warnings.append("skipping %s: needs --sigma" % t)
+            continue
+        try:
+            if holder or args.s is not None:
+                s = None if holder else Fraction(args.s) if "/" in args.s else float(args.s)
                 rep = check(spec, RegularityQuery(
-                    target, s=Fraction(args.s) if "/" in args.s else float(args.s),
+                    target, s=s, sigma=args.sigma if holder else None,
                     beta=_parse_weights(args.beta), delta=_parse_weights(args.delta)),
                     numeric_n=args.n)
             else:
                 rep = max_s(spec, target, numeric_n=args.n)
-        elif t in ("c1", "c2"):
-            if args.sigma is None:
-                warnings.append("skipping %s: needs --sigma" % t)
-                continue
-            rep = check(spec, RegularityQuery(
-                t.upper(), sigma=float(args.sigma),
-                beta=_parse_weights(args.beta), delta=_parse_weights(args.delta)),
-                numeric_n=args.n)
-        elif t == "exist":
-            try:
-                if args.s is not None:
-                    rep = check(spec, RegularityQuery(
-                        "EXIST", s=Fraction(args.s) if "/" in args.s else float(args.s),
-                        beta=_parse_weights(args.beta), delta=_parse_weights(args.delta)),
-                        numeric_n=args.n)
-                else:
-                    rep = max_s(spec, "EXIST", numeric_n=args.n)
-            except ValueError as exc:
-                warnings.append("existence check not applicable: %s" % exc)
-                continue
-        else:
-            print("unknown target %r" % t, file=sys.stderr)
-            return 1
+        except ValueError as exc:
+            if target != "EXIST":
+                raise
+            warnings.append("existence check not applicable: %s" % exc)
+            continue
         reports[t] = rep
     from .regularity import matching_rows
     rows = matching_rows(spec)
@@ -348,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("navier-stokes", "stokes"))
     pa.add_argument("--assume", default="data,compatibility,small-data",
                     help="comma list of asserted data assumptions: data, "
-                         "compatibility, small-data, rigid-motions-trivial, lipschitz")
+                         "compatibility, small-data, lipschitz")
     pa.add_argument("--n", type=int, default=32, help="collocation size")
     pa.add_argument("--tol", type=float, default=1e-9, help="mesh validation tolerance")
     pa.add_argument("--format", default="text", choices=("text", "json"))

@@ -111,6 +111,7 @@ class MuValue:
     role: str        # 'lambda1' | 'lambda2'
     is_lower_bound: bool = False
     note: str = ""
+    bound: Optional[Fraction] = None  # the exact rational behind a class bound
 
     def __post_init__(self):
         if not self.value > 0:
@@ -427,41 +428,50 @@ def mu_numeric(theta: float, d_plus: int, d_minus: int, n: int = 32) -> MuValue:
     raise WindowError("could not certify the edge exponent up to Re = %.2f" % hi)
 
 
+# The guaranteed class bounds, largest first within each pair: the first row
+# whose pair and opening condition match gives the bound.  The first column
+# names the quantity bounded, the edge exponent mu or the real part of the
+# first eigenvalue lambda1; a row may bound both.
+_CLASS_BOUNDS = (
+    (("mu",), ((0, 0), (3, 3)), lambda t: t < 0.75 * math.pi, Fraction(4, 3),
+     "opening below 3*pi/4"),
+    (("mu",), ((0, 0), (3, 3)), lambda t: t < math.pi, Fraction(1), "opening below pi"),
+    (("mu",), ((0, 0), (3, 3)), lambda t: t < MU_THRESHOLD_TWO_THIRDS, Fraction(2, 3),
+     "opening below the 2/3-threshold angle"),
+    (("mu",), ((0, 0), (3, 3)), lambda t: True, Fraction(1, 2), "equal conditions on both faces"),
+    (("mu",), ((0, 2),), lambda t: t < 0.375 * math.pi, Fraction(4, 3),
+     "slip edge, opening below 3*pi/8"),
+    (("mu",), ((0, 2),), lambda t: t < 0.5 * math.pi, Fraction(1), "slip edge, opening below pi/2"),
+    (("mu",), ((0, 2),), lambda t: t < 0.75 * math.pi, Fraction(2, 3),
+     "slip edge, opening below 3*pi/4"),
+    (("mu",), ((0, 1),), lambda t: t < 0.5 * MU_THRESHOLD_TWO_THIRDS, Fraction(2, 3),
+     "tangential-velocity edge below half the 2/3-threshold"),
+    (("mu",), ((0, 1), (0, 2)), lambda t: t < 1.5 * math.pi, Fraction(1, 3),
+     "condition change, opening below 3*pi/2"),
+    (("mu",), ((0, 1), (0, 2)), lambda t: True, Fraction(1, 4), "condition changes across the edge"),
+    (("lambda1",), ((0, 1), (0, 2)), lambda t: t <= 1.5 * math.pi + 1e-12, Fraction(1, 3),
+     "changed-condition edge with opening at most 3*pi/2"),
+    (("mu", "lambda1"), ((0, 3),), lambda t: True, Fraction(1, 4),
+     "velocity against stress across the edge"),
+)
+
+
+def _class_bound(quantity: str, d_plus: int, d_minus: int, theta: float) -> Optional[MuValue]:
+    pair = tuple(sorted((d_plus, d_minus)))
+    for quantities, pairs, applies, bound, note in _CLASS_BOUNDS:
+        if quantity in quantities and pair in pairs and applies(theta):
+            return MuValue(float(bound), "class-bound", "lambda1", True, note, bound)
+    return None
+
+
 def mu_lower_bound(d_plus: int, d_minus: int, theta: float) -> Optional[MuValue]:
     """Guaranteed lower bound for the edge exponent of a mixed pair, if known.
 
     Returns None when no bound is available for the pair; the numeric solver
-    is the fallback there.
+    is the fallback there.  The equal-condition pairs have exact values but
+    still carry the generic bound for table use.
     """
-    pair = tuple(sorted((d_plus, d_minus)))
-    if pair in ((0, 0), (3, 3)):
-        # exact values exist; still provide the generic bound for table use
-        bound, note = Fraction(1, 2), "equal conditions on both faces"
-        if theta < MU_THRESHOLD_TWO_THIRDS:
-            bound, note = Fraction(2, 3), "opening below the 2/3-threshold angle"
-        if theta < math.pi:
-            bound, note = Fraction(1, 1), "opening below pi"
-        if theta < 0.75 * math.pi:
-            bound, note = Fraction(4, 3), "opening below 3*pi/4"
-        return MuValue(float(bound), "class-bound", "lambda1", True, note)
-    if pair == (0, 3):
-        return MuValue(0.25, "class-bound", "lambda1", True,
-                       "velocity against stress across the edge")
-    if pair in ((0, 1), (0, 2)):
-        bound, note = Fraction(1, 4), "condition changes across the edge"
-        if theta < 1.5 * math.pi:
-            bound, note = Fraction(1, 3), "condition change, opening below 3*pi/2"
-        if pair == (0, 1) and theta < 0.5 * MU_THRESHOLD_TWO_THIRDS:
-            bound, note = Fraction(2, 3), "tangential-velocity edge below half the 2/3-threshold"
-        if pair == (0, 2):
-            if theta < 0.75 * math.pi:
-                bound, note = Fraction(2, 3), "slip edge, opening below 3*pi/4"
-            if theta < 0.5 * math.pi:
-                bound, note = Fraction(1, 1), "slip edge, opening below pi/2"
-            if theta < 0.375 * math.pi:
-                bound, note = Fraction(4, 3), "slip edge, opening below 3*pi/8"
-        return MuValue(float(bound), "class-bound", "lambda1", True, note)
-    return None
+    return _class_bound("mu", d_plus, d_minus, theta)
 
 
 def mu_k(poly: Polyhedron, bc: BoundaryAssignment, edge: Edge,
@@ -484,8 +494,7 @@ def mu_k(poly: Polyhedron, bc: BoundaryAssignment, edge: Edge,
     return mu_numeric(theta, d_plus, d_minus, n=n)
 
 
-def lambda1_of_edge(d_plus: int, d_minus: int, theta: float,
-                    allow_numeric: bool = True, n: int = 32) -> MuValue:
+def lambda1_of_edge(d_plus: int, d_minus: int, theta: float, n: int = 32) -> MuValue:
     """Real part of the first pencil eigenvalue, for the weight window of the
     small-data existence result.
 
@@ -499,14 +508,9 @@ def lambda1_of_edge(d_plus: int, d_minus: int, theta: float,
         if theta <= math.pi + 1e-12:
             return MuValue(1.0, "closed-form", "lambda1")
         return MuValue(mu_real_root(theta), "closed-form", "lambda1")
-    if pair in ((0, 1), (0, 2)) and theta <= 1.5 * math.pi + 1e-12:
-        return MuValue(1.0 / 3.0, "class-bound", "lambda1", True,
-                       "changed-condition edge with opening at most 3*pi/2")
-    if pair == (0, 3):
-        return MuValue(0.25, "class-bound", "lambda1", True,
-                       "velocity against stress across the edge")
-    if not allow_numeric:
-        raise WindowError("no closed form or bound for pair %r" % (pair,))
+    bound = _class_bound("lambda1", d_plus, d_minus, theta)
+    if bound is not None:
+        return bound
     spec = solve_spectrum(DihedronPencil(theta, d_plus, d_minus), (0.0, 1.8), n=n)
     res = [ev.real for ev in spec.eigenvalues if ev.real > 1e-3]
     if not res:

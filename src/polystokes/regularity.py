@@ -6,29 +6,32 @@ integrability floors, and data-class assumption flags (which are echoed, never
 inferred).  Verdicts are three-valued: ``holds`` when everything is certified,
 ``fails`` when a condition is violated outright (including a guaranteed
 eigenvalue sitting inside a required strip), ``unknown`` when certification is
-out of reach (e.g. no vertex rule applies).
+out of reach (e.g. no vertex rule applies, or no window certifies an edge
+exponent).
 
-``max_s`` scans the admissible nonweighted integrability interval and names
-the binding constraint.  ``decision_table`` reproduces the worked-example
-class results (classes of domains and condition patterns, with exact rational
-interval endpoints); checks fall back to a matching table row when the
-per-vertex rules alone cannot certify a nonweighted query.
+Every target is one row of a rule table (``_RULES``) evaluated by one
+procedure, ``_evaluate``.  ``max_s`` scans the admissible nonweighted
+integrability interval from the same rows and names the binding constraint.
+``decision_table`` reproduces the worked-example class results (classes of
+domains and condition patterns, with exact rational interval endpoints);
+checks fall back to a matching table row when the per-vertex rules alone
+cannot certify a nonweighted query.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .edge_pencil import (MuValue, lambda1_of_edge, mu_k, mu_lower_bound,
-                          mu_real_root, MU_THRESHOLD_TWO_THIRDS)
+from .edge_pencil import MuValue, WindowError, lambda1_of_edge, mu_k, mu_lower_bound
 from .geometry import (BoundaryAssignment, Edge, Polyhedron, VertexBound,
                        graph_direction_feasible)
 from .spaces import Eps, as_eps
-from .vertex_pencil import Strip, StripFinding, eigenfree_strip, known_exceptional, \
-    strip_condition_holds
+from .vertex_pencil import (INF, Interval, StripFinding, eigenfree_strip,
+                            known_exceptional, strip_condition_holds)
 
 __all__ = [
     "DataFlags",
@@ -46,78 +49,7 @@ __all__ = [
 
 TARGETS = ("W1", "W2", "C1", "C2", "EXIST")
 
-_INF = Fraction(10 ** 9)  # sentinel for an unbounded endpoint
-
-
-def _q(x) -> Union[Fraction, float]:
-    """Exact rational when possible, float otherwise."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return float(x)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """An s-interval with endpoint openness; endpoints rational when exact."""
-
-    lo: Union[Fraction, float]
-    hi: Union[Fraction, float]
-    lo_closed: bool = False
-    hi_closed: bool = False
-
-    def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-
-    def contains(self, s) -> bool:
-        if s < self.lo or s > self.hi:
-            return False
-        if s == self.lo and not self.lo_closed:
-            return False
-        if s == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def intersect(self, other: "Interval") -> "Interval":
-        if other.lo > self.lo or (other.lo == self.lo and not other.lo_closed):
-            lo, lo_c = other.lo, other.lo_closed
-        else:
-            lo, lo_c = self.lo, self.lo_closed
-        if other.hi < self.hi or (other.hi == self.hi and not other.hi_closed):
-            hi, hi_c = other.hi, other.hi_closed
-        else:
-            hi, hi_c = self.hi, self.hi_closed
-        return Interval(lo, hi, lo_c, hi_c)
-
-    def __str__(self):
-        def fmt(x):
-            if isinstance(x, Fraction):
-                if x >= _INF:
-                    return "inf"
-                return str(x) if x.denominator > 1 else str(x.numerator)
-            return "%.6g" % x
-        return "%s%s, %s%s" % ("[" if self.lo_closed else "(", fmt(self.lo),
-                               fmt(self.hi), "]" if self.hi_closed else ")")
-
-    def to_dict(self):
-        def enc(x):
-            if isinstance(x, Fraction):
-                return [x.numerator, x.denominator]
-            return float(x)
-        return {"lo": enc(self.lo), "hi": enc(self.hi),
-                "lo_closed": self.lo_closed, "hi_closed": self.hi_closed}
-
-    @staticmethod
-    def from_dict(d):
-        def dec(x):
-            if isinstance(x, list):
-                return Fraction(x[0], x[1])
-            return float(x)
-        return Interval(dec(d["lo"]), dec(d["hi"]), d["lo_closed"], d["hi_closed"])
-
-
-_EVERYTHING = Interval(Fraction(1), _INF, False, True)
+_EVERYTHING = Interval(Fraction(1), INF, False, True)
 
 
 @dataclass(frozen=True)
@@ -126,7 +58,6 @@ class DataFlags:
 
     data_in_required_spaces: bool = False
     compatibility_conditions_hold: bool = False
-    L_V_trivial: bool = False
     small_data: bool = False
     lipschitz_graph: bool = False
 
@@ -228,14 +159,8 @@ class RegularityReport:
             "verdict": self.verdict,
             "s": None if self.s is None else float(self.s),
             "sigma": None if self.sigma is None else float(self.sigma),
-            "edges": [{"edge": e.edge, "theta": e.theta, "mu": e.mu,
-                       "mu_provenance": e.mu_provenance,
-                       "requirement": e.requirement, "satisfied": e.satisfied}
-                      for e in self.edges],
-            "vertices": [{"vertex": v.vertex, "finding": v.finding,
-                          "requirement": v.requirement, "satisfied": v.satisfied,
-                          "justification": v.justification}
-                         for v in self.vertices],
+            "edges": [asdict(e) for e in self.edges],
+            "vertices": [asdict(v) for v in self.vertices],
             "s_interval": None if self.s_interval is None else self.s_interval.to_dict(),
             "binding": self.binding,
             "sharp": list(self.sharp),
@@ -247,11 +172,8 @@ class RegularityReport:
     @staticmethod
     def from_dict(d: dict) -> "RegularityReport":
         rep = RegularityReport(d["target"], d["verdict"], d.get("s"), d.get("sigma"))
-        rep.edges = [EdgeCheck(e["edge"], e["theta"], e["mu"], e["mu_provenance"],
-                               e["requirement"], e["satisfied"]) for e in d["edges"]]
-        rep.vertices = [VertexCheck(v["vertex"], v["finding"], v["requirement"],
-                                    v["satisfied"], v["justification"])
-                        for v in d["vertices"]]
+        rep.edges = [EdgeCheck(**e) for e in d["edges"]]
+        rep.vertices = [VertexCheck(**v) for v in d["vertices"]]
         if d.get("s_interval") is not None:
             rep.s_interval = Interval.from_dict(d["s_interval"])
         rep.binding = d.get("binding", "")
@@ -304,7 +226,12 @@ def vertex_findings(spec: ProblemSpec) -> Dict[int, StripFinding]:
 
 def _edge_mu(spec: ProblemSpec, edge: Edge, numeric_n: int = 32) -> MuValue:
     """Exact exponent for the equal-condition pairs, guaranteed bound for the
-    mixed pairs covered by one, numeric solve otherwise."""
+    mixed pairs covered by one, numeric solve otherwise.
+
+    Bounds are deliberately not refined numerically: point checks and the
+    interval scan must agree, and the scan's exact rational endpoints come
+    from the bounds.
+    """
     d_plus, d_minus = spec.bc.pair(edge)
     pair = tuple(sorted((d_plus, d_minus)))
     if pair in ((0, 0), (3, 3)):
@@ -315,127 +242,220 @@ def _edge_mu(spec: ProblemSpec, edge: Edge, numeric_n: int = 32) -> MuValue:
     return mu_k(spec.poly, spec.bc, edge, method="numeric", n=numeric_n)
 
 
-def _edge_inequality(mu: MuValue, lower_gap: Eps, weighted: Eps, upper: Eps
-                     ) -> Tuple[MuValue, bool]:
-    """Test max(gap - mu, 0) < weighted < upper.
-
-    The guaranteed class bounds are strict (mu exceeds them), so gap - bound
-    <= weighted already implies the strict inequality for the exponent itself.
-    Bounds are deliberately not refined numerically here: point checks and the
-    interval scan must agree, and the scan's exact rational endpoints come
-    from the bounds.  Callers wanting sharper mixed-edge values request the
-    numeric exponent explicitly.
-    """
-    if not weighted < upper:
-        return mu, False
-    if not as_eps(0) < weighted:
-        return mu, False
-    need = lower_gap - mu.value
-    passes = need <= weighted if mu.is_lower_bound else need < weighted
-    return mu, passes
+def _edge_exponent(spec: ProblemSpec, edge: Edge, rule: _Rule,
+                   numeric_n: int) -> Tuple[Optional[MuValue], str]:
+    """The rule's exponent at one edge, or None and the reason when no
+    window certifies it."""
+    try:
+        if rule.first_eigenvalue:
+            return lambda1_of_edge(*spec.bc.pair(edge), edge.theta, n=numeric_n), ""
+        return _edge_mu(spec, edge, numeric_n), ""
+    except WindowError as exc:
+        return None, "exponent not certified: %s" % exc
 
 
-def _strip_for(level: Eps, lo_anchor=Fraction(-1, 2), lo_closed=True,
-               hi_closed=True) -> Strip:
-    """Strip between the anchor line and the level line, whichever order."""
-    anchor = as_eps(lo_anchor)
+def _require_velocity_edges(spec: ProblemSpec, detail: str = "") -> None:
+    for e in spec.poly.edges:
+        if 0 not in spec.bc.pair(e):
+            raise ValueError("edge %d has no velocity-prescribed adjoining face%s"
+                             % (e.id, detail))
+
+
+def _strip_for(level: Eps, anchor_closed: bool) -> Interval:
+    """Strip between the energy line -1/2 and the level line (closed there),
+    whichever order."""
+    anchor = as_eps(Fraction(-1, 2))
     if level >= anchor:
-        return Strip(anchor, level, lo_closed, hi_closed)
-    return Strip(level, anchor, hi_closed, lo_closed)
+        return Interval(anchor, level, anchor_closed, True)
+    return Interval(level, anchor, True, anchor_closed)
 
 
-def _aggregate(ok_edges: bool, ok_vertices: bool, definite_fail: bool,
-               unknowns: bool) -> str:
-    if definite_fail or not ok_edges:
-        return "fails"
-    if unknowns:
-        return "unknown"
-    return "holds" if ok_vertices else "fails"
+# -- the rule table -----------------------------------------------------------------
+
+class _Terms(NamedTuple):
+    """The query's exponent terms: 2/s and 3/s (Sobolev rows) or sigma (Holder)."""
+
+    two_s: Optional[Eps]
+    three_s: Optional[Eps]
+    sigma: Optional[Eps]
+
+
+@dataclass(frozen=True)
+class _Floor:
+    """A floor on s, on each vertex weight or on each edge weight.
+
+    ``ok(x, terms)`` tests one value; a violation adds ``note``, formatted
+    with the vertex or edge index.
+    """
+
+    scope: str  # 's' | 'vertex' | 'edge'
+    ok: Callable[[object, _Terms], bool]
+    note: str
+    nonlinear_only: bool = False
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One target of the source results, as data.
+
+    Sobolev rows shift the edge weights by 2/s and the vertex weights by
+    -3/s.  Holder rows centre both at sigma, need nonnegative edge weights off
+    the resonances k + sigma (k < order), and leave the vertex strip open at
+    -1/2.  The edge condition is order - mu < weighted < order, or with
+    ``first_eigenvalue`` the window 1 - Re(lambda1) < weighted < 1 + Re(lambda1),
+    strict at both ends because the first-eigenvalue bounds may be attained.
+    ``scan`` lists the s-floors of ``max_s`` (a None floor is a note).
+    """
+
+    target: str
+    order: int
+    edge_requirement: str  # formatted with the weighted edge quantity
+    flags: Tuple[Tuple[str, str, Optional[Callable[[ProblemSpec], bool]]], ...]
+    floors: Tuple[_Floor, ...] = ()
+    holder: bool = False
+    first_eigenvalue: bool = False
+    clamp: bool = False              # max(order - mu, 0): the weighted quantity is positive
+    bound_note: bool = False         # say when a class bound could not certify an edge
+    guaranteed_reason: bool = True   # say when a guaranteed eigenvalue blocks a vertex
+    class_fallback: bool = False     # a matching class row certifies nonweighted vertices
+    velocity_edges: bool = False     # every edge needs a velocity-prescribed face
+    scan: Tuple[Tuple[Optional[Fraction], bool, str], ...] = ()  # (floor, nonlinear only, label)
+
+
+_DATA = ("data_in_required_spaces", "data in the required spaces", None)
+_LIFTING = ("compatibility_conditions_hold",
+            "edge compatibility conditions (existence of a lifting)", None)
+
+
+def _holder_cap(cap: Fraction) -> _Floor:
+    return _Floor("vertex", lambda b, t: b - t.sigma < as_eps(cap),
+                  "vertex {}: beta - sigma must stay below %s" % cap)
+
+
+_RULES = {rule.target: rule for rule in (
+    _Rule("W1", 1, "max(1-mu, 0) < delta+2/s=%s < 1", (_DATA,),
+          floors=(_Floor("s", lambda s, t: s > Fraction(6, 5),
+                         "nonlinear first-order result needs s > 6/5", nonlinear_only=True),),
+          clamp=True, bound_note=True, class_fallback=True,
+          scan=((Fraction(2), False, "edge weight window delta+2/s < 1 at zero weights"),
+                (None, True, "nonlinear floor s > 6/5 subsumed by s > 2"))),
+    _Rule("W2", 2, "max(2-mu, 0) < delta+2/s=%s < 2", (_DATA, _LIFTING),
+          # the weight floor of the second-order nonlinear result; vacuous when
+          # the iteration starts at the target weights (beta_j >= 2 - 3/s)
+          floors=(_Floor("vertex", lambda b, t: not b < as_eps(2) - t.three_s
+                         or b + t.three_s < as_eps(Fraction(5, 2)),
+                         "vertex {}: weight floor beta + 3/s < 5/2 violated",
+                         nonlinear_only=True),),
+          clamp=True, bound_note=True, class_fallback=True,
+          scan=((Fraction(1), False, "edge weight window delta+2/s < 2 at zero weights"),
+                (Fraction(6, 5), True, "nonlinear weight floor at zero weights"))),
+    _Rule("C1", 1, "1-mu < delta-sigma=%s < 1", (_DATA, _LIFTING),
+          floors=(_holder_cap(Fraction(3, 2)),), holder=True),
+    _Rule("C2", 2, "2-mu < delta-sigma=%s < 2", (_DATA, _LIFTING),
+          floors=(_holder_cap(Fraction(5, 2)),), holder=True),
+    _Rule("EXIST", 1, "1-Re(lambda1) < delta+2/s=%s < 1+Re(lambda1)",
+          (_DATA, ("small_data", "data norm sufficiently small", None),
+           ("compatibility_conditions_hold",
+            "flux compatibility for the velocity/slip-only configuration",
+            lambda sp: _all_d(sp, 0, 2))),
+          floors=(_Floor("s", lambda s, t: s > Fraction(3, 2), "existence result needs s > 3/2"),
+                  _Floor("vertex", lambda b, t: b + t.three_s <= as_eps(2),
+                         "vertex {}: beta + 3/s must not exceed 2"),
+                  _Floor("edge", lambda d, t: d + t.three_s <= as_eps(2),
+                         "edge {}: delta + 3/s must not exceed 2")),
+          first_eigenvalue=True, guaranteed_reason=False, class_fallback=True,
+          velocity_edges=True, scan=((Fraction(3, 2), False, "existence needs s > 3/2"),)),
+)}
+
+
+def _edge_ok(rule: _Rule, mu: MuValue, weighted: Eps) -> bool:
+    if rule.first_eigenvalue:
+        return as_eps(rule.order - mu.value) < weighted < as_eps(rule.order + mu.value)
+    if not weighted < as_eps(rule.order) or (rule.clamp and not as_eps(0) < weighted):
+        return False
+    # the class bounds are exceeded strictly, so order - bound <= weighted
+    # already implies the strict inequality for the exponent itself
+    need = as_eps(rule.order - mu.value)
+    return need <= weighted if mu.is_lower_bound else need < weighted
 
 
 # -- the theorem checks -------------------------------------------------------------
 
 def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> RegularityReport:
-    if query.target == "W1":
-        return _check_sobolev(spec, query, order=1, numeric_n=numeric_n)
-    if query.target == "W2":
-        return _check_sobolev(spec, query, order=2, numeric_n=numeric_n)
-    if query.target in ("C1", "C2"):
-        return _check_holder(spec, query, order=int(query.target[1]), numeric_n=numeric_n)
-    return _check_existence(spec, query, numeric_n=numeric_n)
+    return _evaluate(spec, query, _RULES[query.target], numeric_n)
 
 
-def _flag_requirements(spec: ProblemSpec, query: RegularityQuery) -> Tuple[List[str], List[str]]:
-    """(assumption echoes, missing assumption names)."""
-    echoes, missing = [], []
-    def need(flag: bool, name: str):
-        echoes.append("%s: %s" % (name, "asserted" if flag else "NOT asserted"))
-        if not flag:
-            missing.append(name)
-    need(spec.flags.data_in_required_spaces, "data in the required spaces")
-    if query.target in ("W2", "C1", "C2"):
-        need(spec.flags.compatibility_conditions_hold,
-             "edge compatibility conditions (existence of a lifting)")
-    if query.target == "EXIST":
-        need(spec.flags.small_data, "data norm sufficiently small")
-        if set(spec.bc.values()) <= {0, 2}:
-            need(spec.flags.compatibility_conditions_hold,
-                 "flux compatibility for the velocity/slip-only configuration")
-    return echoes, missing
-
-
-def _check_sobolev(spec: ProblemSpec, query: RegularityQuery, order: int,
-                   numeric_n: int) -> RegularityReport:
-    s = query.s
-    rep = RegularityReport(query.target, "unknown", s=float(s))
-    echoes, missing = _flag_requirements(spec, query)
-    rep.assumptions = echoes
-    two_s = as_eps(2 * _frac_inv(s))
-    three_s = as_eps(3 * _frac_inv(s))
-    gap = as_eps(order)
-    definite_fail = False
-    floors_ok = True
-    if order == 1 and spec.kind == "navier-stokes" and not s > Fraction(6, 5):
-        floors_ok = False
-        rep.notes.append("nonlinear first-order result needs s > 6/5")
+def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
+              numeric_n: int = 32) -> RegularityReport:
+    if rule.velocity_edges:
+        _require_velocity_edges(
+            spec, "; the small-data existence result requires one on every edge")
+    rep = RegularityReport(rule.target, "unknown")
+    if rule.holder:
+        rep.sigma = float(query.sigma)
+        t = _Terms(None, None, as_eps(query.sigma))
+    else:
+        rep.s = float(query.s)
+        inv = Fraction(1) / Fraction(query.s) if isinstance(query.s, (int, Fraction)) \
+            else 1.0 / query.s
+        t = _Terms(as_eps(2 * inv), as_eps(3 * inv), None)
+    missing = []
+    for attr, name, applies in rule.flags:
+        if applies is None or applies(spec):
+            asserted = getattr(spec.flags, attr)
+            rep.assumptions.append("%s: %s" % (name, "asserted" if asserted else "NOT asserted"))
+            if not asserted:
+                missing.append(name)
     betas = query.betas(len(spec.poly.vertices))
     deltas = query.deltas(len(spec.poly.edges))
-    if order == 2 and spec.kind == "navier-stokes":
-        # the weight floor of the second-order nonlinear result; vacuous when
-        # the iteration starts at the target weights (beta_j >= 2 - 3/s)
-        for j, b in enumerate(betas):
-            if b < as_eps(2) - three_s and not b + three_s < as_eps(Fraction(5, 2)):
+    floors_ok = True
+    for floor in rule.floors:
+        if floor.nonlinear_only and spec.kind != "navier-stokes":
+            continue
+        values = {"s": (query.s,), "vertex": betas, "edge": deltas}[floor.scope]
+        for i, x in enumerate(values):
+            if not floor.ok(x, t):
                 floors_ok = False
-                rep.notes.append("vertex %d: weight floor beta + 3/s < 5/2 violated" % j)
-    # edges: max(order - mu, 0) < delta + 2/s < order
-    edges_ok = True
+                rep.notes.append(floor.note.format(i))
+    edges_ok, any_unknown = True, False
     for e, dk in zip(spec.poly.edges, deltas):
-        mu = _edge_mu(spec, e, numeric_n)
-        weighted = dk + two_s
-        mu, ok = _edge_inequality(mu, gap, weighted, gap)
-        req = "max(%d-mu, 0) < delta+2/s=%s < %d" % (order, weighted, order)
-        rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, req, ok))
-        if not ok and mu.is_lower_bound:
+        if rule.holder and (dk < 0 or any(dk == as_eps(k) + t.sigma for k in range(rule.order))):
+            why = ("edge weights must be nonnegative" if dk < 0
+                   else "delta equals an excluded resonance value")
+            rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
+            edges_ok = False
+            continue
+        mu, why = _edge_exponent(spec, e, rule, numeric_n)
+        if mu is None:
+            rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
+            any_unknown = True
+            continue
+        weighted = dk - t.sigma if rule.holder else dk + t.two_s
+        ok = _edge_ok(rule, mu, weighted)
+        rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance,
+                                   rule.edge_requirement % weighted, ok))
+        if not ok and mu.is_lower_bound and rule.bound_note:
             rep.notes.append("edge %d: the guaranteed exponent bound could not certify "
                              "the condition; a numeric pencil solve may sharpen it" % e.id)
         edges_ok = edges_ok and ok
-    # vertices: no eigenvalues in the closed strip between -1/2 and order-beta-3/s
+    # vertices: no eigenvalues in the strip between -1/2 and the level line
     findings = vertex_findings(spec)
     guaranteed = known_exceptional(spec.bc.values())
-    vertices_ok = True
-    any_unknown = False
+    vertices_ok, definite_fail = True, False
     for v, b in enumerate(betas):
-        level = as_eps(order) - b - three_s
-        target = _strip_for(level)
+        level = (as_eps(rule.order) + t.sigma - b if rule.holder
+                 else as_eps(rule.order) - b - t.three_s)
+        target = _strip_for(level, anchor_closed=not rule.holder)
         ok, why = strip_condition_holds(findings[v], target)
-        if not ok and query.is_nonweighted():
-            row = _row_fallback(spec, query.target, s)
+        if not ok and rule.class_fallback and query.is_nonweighted():
+            row = _row_fallback(spec, rule.target, query.s)
             if row is not None:
                 ok, why = True, "class result %s: admissible interval %s" % (row.row_id, row.interval)
                 rep.citations.append("class:%s" % row.row_id)
-        if not ok and any(target.contains_value(g) for g in guaranteed):
+        if not ok and any(target.contains(g) for g in guaranteed):
             definite_fail = True
-            why += "; a guaranteed eigenvalue of this configuration lies in the strip"
+            if rule.guaranteed_reason:
+                why += "; a guaranteed eigenvalue of this configuration lies in the strip"
         elif not ok and findings[v].unknown:
             any_unknown = True
         rep.vertices.append(VertexCheck(v, findings[v].describe(), str(target), ok, why))
@@ -445,153 +465,36 @@ def _check_sobolev(spec: ProblemSpec, query: RegularityQuery, order: int,
     if missing:
         any_unknown = True
         rep.notes.extend("assumption not asserted: %s" % m for m in missing)
-    verdict = _aggregate(edges_ok and floors_ok, vertices_ok, definite_fail, any_unknown)
-    rep.verdict = verdict
+    if definite_fail or not (edges_ok and floors_ok):
+        rep.verdict = "fails"
+    elif not any_unknown:
+        rep.verdict = "holds" if vertices_ok else "fails"
     return sharpness_flags(rep)
-
-
-def _check_holder(spec: ProblemSpec, query: RegularityQuery, order: int,
-                  numeric_n: int) -> RegularityReport:
-    sigma = as_eps(query.sigma)
-    rep = RegularityReport(query.target, "unknown", sigma=float(query.sigma))
-    echoes, missing = _flag_requirements(spec, query)
-    rep.assumptions = echoes
-    betas = query.betas(len(spec.poly.vertices))
-    deltas = query.deltas(len(spec.poly.edges))
-    definite_fail = False
-    floors_ok = True
-    cap = as_eps(Fraction(1, 2) + order)  # 3/2 for first order, 5/2 for second
-    for j, b in enumerate(betas):
-        if not b - sigma < cap:
-            floors_ok = False
-            rep.notes.append("vertex %d: beta - sigma must stay below %s" % (j, cap))
-    gap = as_eps(order)
-    edges_ok = True
-    for e, dk in zip(spec.poly.edges, deltas):
-        if dk < 0:
-            rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-",
-                                       "edge weights must be nonnegative", False))
-            edges_ok = False
-            continue
-        if dk == sigma or (order == 2 and dk == as_eps(1) + sigma):
-            rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-",
-                                       "delta equals an excluded resonance value", False))
-            edges_ok = False
-            continue
-        mu = _edge_mu(spec, e, numeric_n)
-        centered = dk - sigma
-        # order - mu < delta - sigma < order (no positive-part clamp here)
-        ok_hi = centered < gap
-        need = gap - mu.value
-        ok_lo = need <= centered if mu.is_lower_bound else need < centered
-        ok = ok_hi and ok_lo
-        req = "%d-mu < delta-sigma=%s < %d" % (order, centered, order)
-        rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, req, ok))
-        edges_ok = edges_ok and ok
-    findings = vertex_findings(spec)
-    guaranteed = known_exceptional(spec.bc.values())
-    vertices_ok = True
-    any_unknown = False
-    for v, b in enumerate(betas):
-        level = as_eps(order) + sigma - b
-        # open at the energy line, closed at the level line
-        target = Strip(as_eps(Fraction(-1, 2)), level, False, True) if level >= as_eps(Fraction(-1, 2)) \
-            else Strip(level, as_eps(Fraction(-1, 2)), True, False)
-        ok, why = strip_condition_holds(findings[v], target)
-        if not ok and any(target.contains_value(g) for g in guaranteed):
-            definite_fail = True
-            why += "; a guaranteed eigenvalue of this configuration lies in the strip"
-        elif not ok and findings[v].unknown:
-            any_unknown = True
-        rep.vertices.append(VertexCheck(v, findings[v].describe(), str(target), ok, why))
-        vertices_ok = vertices_ok and ok
-        rep.citations.extend("vertex-rule:%s" % r for r in findings[v].rules)
-    rep.citations = sorted(set(rep.citations))
-    if missing:
-        any_unknown = True
-        rep.notes.extend("assumption not asserted: %s" % m for m in missing)
-    rep.verdict = _aggregate(edges_ok and floors_ok, vertices_ok, definite_fail, any_unknown)
-    return sharpness_flags(rep)
-
-
-def _check_existence(spec: ProblemSpec, query: RegularityQuery,
-                     numeric_n: int) -> RegularityReport:
-    s = query.s
-    rep = RegularityReport("EXIST", "unknown", s=float(s))
-    for e in spec.poly.edges:
-        if 0 not in spec.bc.pair(e):
-            raise ValueError(
-                "edge %d has no velocity-prescribed adjoining face; the small-data "
-                "existence result requires one on every edge" % e.id)
-    echoes, missing = _flag_requirements(spec, query)
-    rep.assumptions = echoes
-    betas = query.betas(len(spec.poly.vertices))
-    deltas = query.deltas(len(spec.poly.edges))
-    three_s = as_eps(3 * _frac_inv(s))
-    two_s = as_eps(2 * _frac_inv(s))
-    floors_ok = True
-    if not s > Fraction(3, 2):
-        floors_ok = False
-        rep.notes.append("existence result needs s > 3/2")
-    for j, b in enumerate(betas):
-        if not b + three_s <= as_eps(2):
-            floors_ok = False
-            rep.notes.append("vertex %d: beta + 3/s must not exceed 2" % j)
-    for k, dk in enumerate(deltas):
-        if not dk + three_s <= as_eps(2):
-            floors_ok = False
-            rep.notes.append("edge %d: delta + 3/s must not exceed 2" % k)
-    # weight window around the first edge eigenvalue
-    edges_ok = True
-    for e, dk in zip(spec.poly.edges, deltas):
-        d_plus, d_minus = spec.bc.pair(e)
-        lam1 = lambda1_of_edge(d_plus, d_minus, e.theta, n=numeric_n)
-        weighted = dk + two_s
-        ok = as_eps(1 - lam1.value) < weighted and weighted < as_eps(1 + lam1.value)
-        req = "1-Re(lambda1) < delta+2/s=%s < 1+Re(lambda1)" % weighted
-        rep.edges.append(EdgeCheck(e.id, e.theta, lam1.value, lam1.provenance, req, ok))
-        edges_ok = edges_ok and ok
-    findings = vertex_findings(spec)
-    guaranteed = known_exceptional(spec.bc.values())
-    vertices_ok = True
-    any_unknown = False
-    definite_fail = False
-    for v, b in enumerate(betas):
-        level = as_eps(1) - b - three_s
-        target = _strip_for(level)
-        ok, why = strip_condition_holds(findings[v], target)
-        if not ok and query.is_nonweighted():
-            row = _row_fallback(spec, "EXIST", s)
-            if row is not None:
-                ok, why = True, "class result %s: admissible interval %s" % (row.row_id, row.interval)
-                rep.citations.append("class:%s" % row.row_id)
-        if not ok and any(target.contains_value(g) for g in guaranteed):
-            definite_fail = True
-        elif not ok and findings[v].unknown:
-            any_unknown = True
-        rep.vertices.append(VertexCheck(v, findings[v].describe(), str(target), ok, why))
-        vertices_ok = vertices_ok and ok
-        rep.citations.extend("vertex-rule:%s" % r for r in findings[v].rules)
-    rep.citations = sorted(set(rep.citations))
-    if missing:
-        any_unknown = True
-        rep.notes.extend("assumption not asserted: %s" % m for m in missing)
-    rep.verdict = _aggregate(edges_ok and floors_ok, vertices_ok, definite_fail, any_unknown)
-    return rep
-
-
-def _frac_inv(s):
-    if isinstance(s, (int, Fraction)):
-        return Fraction(1, 1) / Fraction(s)
-    return 1.0 / s
 
 
 # -- admissible interval scan ----------------------------------------------------
 
-@dataclass
-class _Constraint:
-    interval: Interval
-    label: str
+_Constraint = Tuple[Interval, str]
+
+
+def _edge_interval(rule: _Rule, mu: MuValue, edge: Edge) -> Tuple[str, Optional[_Constraint]]:
+    """(requirement, admissible s-range) from one edge at zero weights.
+
+    A class bound enters as its exact rational; the exponent exceeds it
+    strictly, so the endpoint it gives is attained.
+    """
+    b = mu.value if mu.bound is None else mu.bound
+    label = "edge %d (theta=%.6g)" % (edge.id, edge.theta)
+    if rule.first_eigenvalue:
+        hi = 2 / (1 - b) if b < 1 else INF
+        return ("weight window around the first eigenvalue",
+                (Interval(2 / (1 + b), hi, False, b >= 1), label))
+    req = "s below 2/(%d - mu) when mu < %d" % (rule.order, rule.order)
+    if not b < rule.order:
+        return req, None
+    if mu.bound is not None:
+        label = "edge %d via guaranteed bound mu > %s" % (edge.id, b)
+    return req, (Interval(Fraction(1), 2 / (rule.order - b), False, mu.bound is not None), label)
 
 
 def _vertex_interval(finding: StripFinding, order: int, label: str) -> Optional[_Constraint]:
@@ -602,28 +505,20 @@ def _vertex_interval(finding: StripFinding, order: int, label: str) -> Optional[
     if finding.unknown:
         return None
     free = finding.free
-    lo_s: Tuple[Union[Fraction, float], bool] = (Fraction(1), False)
-    hi_s: Tuple[Union[Fraction, float], bool] = (_INF, True)
-    # upper side: L(s) must stay within the free strip's upper end
-    hi_end = free.hi
-    if as_eps(hi_end) < as_eps(order):
-        bound = _solve_level(order, hi_end)
-        hi_s = _tighter_hi(hi_s, (bound, free.hi_closed))
+    iv = _EVERYTHING
+    # upper side: L(s) must stay within the free strip's upper end; lower
+    # side: L(s) below -1/2 must still be covered (always so from order - 3)
+    if as_eps(free.hi) < as_eps(order):
+        iv = iv.intersect(Interval(Fraction(1), _solve_level(order, free.hi), False,
+                                   free.hi_closed))
+    if as_eps(free.lo) > as_eps(order - 3):
+        iv = iv.intersect(Interval(_solve_level(order, free.lo), INF, free.lo_closed, True))
     for value, _note in finding.exceptional:
         if as_eps(Fraction(-1, 2)) < as_eps(value) < as_eps(order):
-            bound = _solve_level(order, value)
-            hi_s = _tighter_hi(hi_s, (bound, False))
-    # lower side: L(s) below -1/2 must still be covered
-    lo_end = free.lo
-    if as_eps(lo_end) > as_eps(order - 3):  # otherwise every s > 1 is covered below
-        bound = _solve_level(order, lo_end)
-        lo_s = _tighter_lo(lo_s, (bound, free.lo_closed))
-    for value, _note in finding.exceptional:
-        if as_eps(value) < as_eps(Fraction(-1, 2)):
-            bound = _solve_level(order, value)
-            lo_s = _tighter_lo(lo_s, (bound, False))
-    return _Constraint(Interval(lo_s[0], hi_s[0], lo_s[1], hi_s[1]),
-                       "%s strip %s" % (label, finding.free))
+            iv = iv.intersect(Interval(Fraction(1), _solve_level(order, value), False, False))
+        elif as_eps(value) < as_eps(Fraction(-1, 2)):
+            iv = iv.intersect(Interval(_solve_level(order, value), INF, False, True))
+    return iv, "%s strip %s" % (label, free)
 
 
 def _solve_level(order: int, level) -> Union[Fraction, float]:
@@ -633,18 +528,6 @@ def _solve_level(order: int, level) -> Union[Fraction, float]:
     if isinstance(val, (int, Fraction)):
         return Fraction(3) / Fraction(val)
     return 3.0 / float(val)
-
-
-def _tighter_hi(cur, cand):
-    if cand[0] < cur[0] or (cand[0] == cur[0] and not cand[1] and cur[1]):
-        return cand
-    return cur
-
-
-def _tighter_lo(cur, cand):
-    if cand[0] > cur[0] or (cand[0] == cur[0] and not cand[1] and cur[1]):
-        return cand
-    return cur
 
 
 def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityReport:
@@ -657,75 +540,45 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
     """
     if target not in ("W1", "W2", "EXIST"):
         raise ValueError("max_s supports W1, W2 and EXIST")
+    rule = _RULES[target]
+    if rule.velocity_edges:
+        _require_velocity_edges(spec)
     rep = RegularityReport(target, "holds")
     constraints: List[_Constraint] = []
-    conditional = False
-    if target == "W1":
-        base = Interval(Fraction(2), _INF, False, True)
-        constraints.append(_Constraint(base, "edge weight window delta+2/s < 1 at zero weights"))
-        if spec.kind == "navier-stokes":
-            rep.notes.append("nonlinear floor s > 6/5 subsumed by s > 2")
-        order = 1
-    elif target == "W2":
-        base = Interval(Fraction(1), _INF, False, True)
-        constraints.append(_Constraint(base, "edge weight window delta+2/s < 2 at zero weights"))
-        if spec.kind == "navier-stokes":
-            constraints.append(_Constraint(Interval(Fraction(6, 5), _INF, False, True),
-                                           "nonlinear weight floor at zero weights"))
-        order = 2
-    else:
-        for e in spec.poly.edges:
-            if 0 not in spec.bc.pair(e):
-                raise ValueError("edge %d has no velocity-prescribed adjoining face" % e.id)
-        constraints.append(_Constraint(Interval(Fraction(3, 2), _INF, False, True),
-                                       "existence needs s > 3/2"))
-        order = 1
-    # edges
-    for e in spec.poly.edges:
-        if target == "EXIST":
-            lam1 = lambda1_of_edge(*spec.bc.pair(e), e.theta, n=numeric_n)
-            v = lam1.value
-            if lam1.is_lower_bound:
-                # the first-eigenvalue bounds may be attained, so the weight
-                # window stays strict at both ends
-                b = _q_bound(lam1)
-                hi = Fraction(2) / (1 - b) if b < 1 else _INF
-                iv = Interval(Fraction(2) / (1 + b), hi, False, b >= 1)
-            else:
-                hi = _q(2) / _q(1 - v) if v < 1 else _INF
-                iv = Interval(_q(2) / _q(1 + v), hi, False, v >= 1)
-            rep.edges.append(EdgeCheck(e.id, e.theta, v, lam1.provenance,
-                                       "weight window around the first eigenvalue", True))
-            constraints.append(_Constraint(iv, "edge %d (theta=%.6g)" % (e.id, e.theta)))
+    for lo, nonlinear_only, label in rule.scan:
+        if nonlinear_only and spec.kind != "navier-stokes":
             continue
-        mu = _edge_mu(spec, e, numeric_n)
-        rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance,
-                                   "s below 2/(%d - mu) when mu < %d" % (order, order), True))
-        if mu.is_lower_bound:
-            b = _q_bound(mu)
-            if b < order:
-                constraints.append(_Constraint(
-                    Interval(Fraction(1), Fraction(2) / (order - b), False, True),
-                    "edge %d via guaranteed bound mu > %s" % (e.id, b)))
+        if lo is None:
+            rep.notes.append(label)
         else:
-            if mu.value < order:
-                constraints.append(_Constraint(
-                    Interval(Fraction(1), 2.0 / (order - mu.value), False, False),
-                    "edge %d (theta=%.6g)" % (e.id, e.theta)))
+            constraints.append((Interval(lo, INF, False, True), label))
+    uncertified_edges = False
+    for e in spec.poly.edges:
+        mu, why = _edge_exponent(spec, e, rule, numeric_n)
+        if mu is None:
+            uncertified_edges = True
+            rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
+            rep.notes.append("edge %d: %s; the interval ignores this edge" % (e.id, why))
+            continue
+        req, c = _edge_interval(rule, mu, e)
+        rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, req, True))
+        if c is not None:
+            constraints.append(c)
     # vertices; a matching class row widens what the per-vertex rules certify
+    conditional = False
     findings = vertex_findings(spec)
     row = _row_fallback(spec, target, None)
     for v, f in findings.items():
-        c = _vertex_interval(f, order, "vertex %d" % v)
+        c = _vertex_interval(f, rule.order, "vertex %d" % v)
         if c is not None and row is not None:
-            merged = _union(c.interval, row.interval)
+            merged = c[0].union(row.interval)
             if merged is not None:
-                c = _Constraint(merged, c.label + " widened by class result %s" % row.row_id)
+                c = (merged, c[1] + " widened by class result %s" % row.row_id)
                 rep.citations.append("class:%s" % row.row_id)
         if c is None:
             if row is not None:
-                constraints.append(_Constraint(row.interval,
-                                               "vertex %d via class result %s" % (v, row.row_id)))
+                constraints.append((row.interval,
+                                    "vertex %d via class result %s" % (v, row.row_id)))
                 rep.citations.append("class:%s" % row.row_id)
                 rep.vertices.append(VertexCheck(v, f.describe(), "class fallback", True,
                                                 "class result %s" % row.row_id))
@@ -734,20 +587,20 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
                 rep.vertices.append(VertexCheck(v, f.describe(), "-", False,
                                                 "no rule; interval conditional on overrides"))
             continue
-        rep.vertices.append(VertexCheck(v, f.describe(), str(c.interval), True, c.label))
+        rep.vertices.append(VertexCheck(v, f.describe(), str(c[0]), True, c[1]))
         constraints.append(c)
     result = _EVERYTHING
     binding_lo = binding_hi = "none"
-    for c in constraints:
+    for interval, label in constraints:
         before = result
-        result = result.intersect(c.interval)
+        result = result.intersect(interval)
         if result.hi != before.hi or result.hi_closed != before.hi_closed:
-            binding_hi = c.label
+            binding_hi = label
         if result.lo != before.lo or result.lo_closed != before.lo_closed:
-            binding_lo = c.label
+            binding_lo = label
     rep.s_interval = result
     rep.binding = "upper: %s; lower: %s" % (binding_hi, binding_lo)
-    rep.verdict = "unknown" if conditional or result.is_empty() else "holds"
+    rep.verdict = "unknown" if conditional or uncertified_edges or result.is_empty() else "holds"
     if conditional:
         rep.notes.append("some vertex strips are uncertified; supply override bounds")
     rep.notes.append(
@@ -755,12 +608,7 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
         "another as s decreases, so the stated conclusions persist below the "
         "reported interval; the reported endpoints are the theorem-exact ones")
     rep.citations = sorted(set(rep.citations))
-    return sharpness_flags(rep) if target in ("W1", "W2") else rep
-
-
-def _q_bound(mu: MuValue) -> Fraction:
-    """Recover the exact rational behind a guaranteed bound value."""
-    return Fraction(mu.value).limit_denominator(1000)
+    return sharpness_flags(rep)
 
 
 # -- decision table ---------------------------------------------------------------
@@ -795,6 +643,17 @@ def _dirichlet_adjacent(spec: ProblemSpec) -> bool:
     return all(0 in spec.bc.pair(e) for e in spec.poly.edges)
 
 
+def _bounds_reach(spec: ProblemSpec, bound: Fraction, edges=None) -> bool:
+    """Every edge (of ``edges``, if given) has a guaranteed exponent bound of
+    at least ``bound`` in the class-bound table."""
+    for e in spec.poly.edges if edges is None else edges:
+        mu = mu_lower_bound(*spec.bc.pair(e), e.theta)
+        if mu is None or mu.bound < bound:
+            return False
+    return True
+
+
+@functools.cache  # the rows are immutable; build them once
 def decision_table() -> Tuple[DecisionRow, ...]:
     F = Fraction
     rows = [
@@ -808,7 +667,7 @@ def decision_table() -> Tuple[DecisionRow, ...]:
         DecisionRow(
             "velocity-convex-W1", "W1",
             "velocity prescribed everywhere, convex polyhedron",
-            Interval(F(2), _INF, False, True),
+            Interval(F(2), INF, False, True),
             lambda sp: _all_d(sp, 0) and sp.poly.is_convex(),
             "edge exponents exceed 1; half-space vertex strip [-1/2, 1) never "
             "caps 1-3/s; only the weight window s > 2 remains"),
@@ -822,8 +681,7 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             "velocity-any-W2-narrow", "W2",
             "velocity prescribed everywhere, edge openings below the 2/3-threshold angle",
             Interval(F(1), F(3, 2), False, True),
-            lambda sp: _all_d(sp, 0) and all(
-                e.theta < MU_THRESHOLD_TWO_THIRDS for e in sp.poly.edges),
+            lambda sp: _all_d(sp, 0) and _bounds_reach(sp, F(2, 3)),
             "edge exponents exceed 2/3: closed endpoint 3/2"),
         DecisionRow(
             "velocity-convex-W2", "W2",
@@ -836,8 +694,7 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             "velocity-convex-W2-narrow", "W2",
             "velocity prescribed everywhere, convex, edge openings below 3*pi/4",
             Interval(F(1), F(3), False, False),
-            lambda sp: _all_d(sp, 0) and sp.poly.is_convex() and all(
-                e.theta < 0.75 * math.pi for e in sp.poly.edges),
+            lambda sp: _all_d(sp, 0) and sp.poly.is_convex() and _bounds_reach(sp, F(4, 3)),
             "edge exponents exceed 4/3 (edge endpoint 3, closed); the constant-"
             "pressure vertex eigenvalue at 1 makes 2-3/s = 1 inadmissible: open 3"),
         DecisionRow(
@@ -858,8 +715,7 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             "stress-lipschitz-W2-narrow", "W2",
             "stress everywhere, edge openings below the 2/3-threshold angle",
             Interval(F(1), F(3, 2), False, False),
-            lambda sp: _all_d(sp, 3) and sp.flags.lipschitz_graph and all(
-                e.theta < MU_THRESHOLD_TWO_THIRDS for e in sp.poly.edges),
+            lambda sp: _all_d(sp, 3) and sp.flags.lipschitz_graph and _bounds_reach(sp, F(2, 3)),
             "edge endpoint 3/2 closed meets the open vertex cap 3/2 at the "
             "exceptional eigenvalue 0: open endpoint 3/2"),
         DecisionRow(
@@ -882,8 +738,7 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             "as above with changed edges opening below 3*pi/2",
             Interval(F(2), F(3), False, True),
             lambda sp: _all_d(sp, 0, 1, 2) and len(set(sp.bc.values())) >= 2
-            and _dirichlet_adjacent(sp) and all(
-                e.theta < 1.5 * math.pi for e in _changed_edges(sp)),
+            and _dirichlet_adjacent(sp) and _bounds_reach(sp, F(1, 3), _changed_edges(sp)),
             "changed edges carry exponent above 1/3: edge endpoint 3 closed, "
             "agreeing with the vertex cap 3"),
         DecisionRow(
@@ -898,7 +753,7 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             "as above with the angle conditions that push every exponent above 2/3",
             Interval(F(1), F(3, 2), False, True),
             lambda sp: _all_d(sp, 0, 1, 2) and len(set(sp.bc.values())) >= 2
-            and _dirichlet_adjacent(sp) and _narrow_mixed_angles(sp),
+            and _dirichlet_adjacent(sp) and _bounds_reach(sp, F(2, 3)),
             "every edge exponent exceeds 2/3: closed endpoint 3/2"),
         DecisionRow(
             "slip-one-face-W2", "W2",
@@ -911,7 +766,7 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             "slip-one-face-W2-narrow", "W2",
             "as above with slip edges below 3*pi/8 and the rest below 3*pi/4",
             Interval(F(1), F(3), False, False),
-            lambda sp: _slip_class(sp) and _narrow_slip_angles(sp),
+            lambda sp: _slip_class(sp) and _bounds_reach(sp, F(4, 3)),
             "every edge exponent exceeds 4/3 (edge endpoint 3 closed); the "
             "simple vertex eigenvalue at 1 makes 2-3/s = 1 inadmissible: open 3"),
         DecisionRow(
@@ -935,59 +790,16 @@ def decision_table() -> Tuple[DecisionRow, ...]:
     return tuple(rows)
 
 
-def _narrow_mixed_angles(sp: ProblemSpec) -> bool:
-    for e in sp.poly.edges:
-        pair = tuple(sorted(sp.bc.pair(e)))
-        if pair == (0, 0) and not e.theta < MU_THRESHOLD_TWO_THIRDS:
-            return False
-        if pair == (0, 1) and not e.theta < 0.5 * MU_THRESHOLD_TWO_THIRDS:
-            return False
-        if pair == (0, 2) and not e.theta < 0.75 * math.pi:
-            return False
-    return True
-
-
-def _narrow_slip_angles(sp: ProblemSpec) -> bool:
-    for e in sp.poly.edges:
-        pair = tuple(sorted(sp.bc.pair(e)))
-        lim = 0.375 * math.pi if pair == (0, 2) else 0.75 * math.pi
-        if not e.theta < lim:
-            return False
-    return True
-
-
 def matching_rows(spec: ProblemSpec, target: Optional[str] = None) -> Tuple[DecisionRow, ...]:
     return tuple(r for r in decision_table()
                  if (target is None or r.target == target) and r.matches(spec))
 
 
 def _row_fallback(spec: ProblemSpec, target: str, s) -> Optional[DecisionRow]:
-    best = None
-    for row in matching_rows(spec, target):
-        if s is not None and not row.interval.contains(s):
-            continue
-        if best is None or _iv_wider(row.interval, best.interval):
-            best = row
-    return best
-
-
-def _iv_wider(a: Interval, b: Interval) -> bool:
-    return (a.hi, a.hi_closed) > (b.hi, b.hi_closed)
-
-
-def _union(a: Interval, b: Interval) -> Optional[Interval]:
-    """Union of two overlapping intervals; None when they are disjoint."""
-    if a.lo > b.hi or b.lo > a.hi:
-        return None
-    if b.lo < a.lo or (b.lo == a.lo and b.lo_closed):
-        lo, lo_c = b.lo, b.lo_closed or (b.lo == a.lo and a.lo_closed)
-    else:
-        lo, lo_c = a.lo, a.lo_closed
-    if b.hi > a.hi or (b.hi == a.hi and b.hi_closed):
-        hi, hi_c = b.hi, b.hi_closed or (b.hi == a.hi and a.hi_closed)
-    else:
-        hi, hi_c = a.hi, a.hi_closed
-    return Interval(lo, hi, lo_c, hi_c)
+    """The matching class row with the widest upper end, containing s if given."""
+    rows = [row for row in matching_rows(spec, target)
+            if s is None or row.interval.contains(s)]
+    return max(rows, key=lambda row: (row.interval.hi, row.interval.hi_closed), default=None)
 
 
 # -- sharpness annotations -----------------------------------------------------------

@@ -27,33 +27,40 @@ R6  user bound b > -1/2 on the smallest eigenvalue: extend the strip to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .geometry import VertexBound, VertexCone
+from .spaces import Eps
 
 __all__ = [
-    "Strip",
+    "INF",
+    "Interval",
     "StripFinding",
     "eigenfree_strip",
     "strip_condition_holds",
     "known_exceptional",
 ]
 
+INF = Fraction(10 ** 9)  # sentinel for an unbounded endpoint
+
 
 @dataclass(frozen=True)
-class Strip:
-    """An interval of real parts with endpoint openness flags."""
+class Interval:
+    """A real interval with endpoint openness: eigenvalue strips (float or
+    ``Eps`` endpoints) and s-intervals (rational where exact)."""
 
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
+    lo: Union[Fraction, float, Eps]
+    hi: Union[Fraction, float, Eps]
+    lo_closed: bool = False
+    hi_closed: bool = False
 
-    def __post_init__(self):
+    def is_empty(self) -> bool:
         if self.lo > self.hi:
-            raise ValueError("empty strip: lo > hi")
+            return True
+        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
 
-    def contains_value(self, x: float) -> bool:
+    def contains(self, x) -> bool:
         if x < self.lo or x > self.hi:
             return False
         if x == self.lo and not self.lo_closed:
@@ -62,21 +69,66 @@ class Strip:
             return False
         return True
 
-    def contains_strip(self, other: "Strip") -> bool:
+    def contains_interval(self, other: "Interval") -> bool:
         lo_ok = other.lo > self.lo or (other.lo == self.lo
                                        and (self.lo_closed or not other.lo_closed))
         hi_ok = other.hi < self.hi or (other.hi == self.hi
                                        and (self.hi_closed or not other.hi_closed))
         return lo_ok and hi_ok
 
+    def intersect(self, other: "Interval") -> "Interval":
+        if other.lo > self.lo or (other.lo == self.lo and not other.lo_closed):
+            lo, lo_c = other.lo, other.lo_closed
+        else:
+            lo, lo_c = self.lo, self.lo_closed
+        if other.hi < self.hi or (other.hi == self.hi and not other.hi_closed):
+            hi, hi_c = other.hi, other.hi_closed
+        else:
+            hi, hi_c = self.hi, self.hi_closed
+        return Interval(lo, hi, lo_c, hi_c)
+
+    def union(self, other: "Interval") -> Optional["Interval"]:
+        """Union of two overlapping or touching intervals; None when it is not
+        an interval.  At equal endpoints the closed one wins, ``other``'s on a tie."""
+        a, b = self, other
+        if a.lo > b.hi or b.lo > a.hi or (a.hi == b.lo and not (a.hi_closed or b.lo_closed)) \
+                or (b.hi == a.lo and not (b.hi_closed or a.lo_closed)):
+            return None
+        if b.lo < a.lo or (b.lo == a.lo and b.lo_closed):
+            lo, lo_c = b.lo, b.lo_closed
+        else:
+            lo, lo_c = a.lo, a.lo_closed
+        if b.hi > a.hi or (b.hi == a.hi and b.hi_closed):
+            hi, hi_c = b.hi, b.hi_closed
+        else:
+            hi, hi_c = a.hi, a.hi_closed
+        return Interval(lo, hi, lo_c, hi_c)
+
     def __str__(self):
         def fmt(x):
-            try:
-                return "%g" % x
-            except TypeError:
+            if isinstance(x, Fraction):
+                return "inf" if x >= INF else str(x)
+            if isinstance(x, Eps):
                 return str(x)
+            return "%.6g" % x
         return "%s%s, %s%s" % ("[" if self.lo_closed else "(", fmt(self.lo),
                                fmt(self.hi), "]" if self.hi_closed else ")")
+
+    def to_dict(self):
+        def enc(x):
+            if isinstance(x, Fraction):
+                return [x.numerator, x.denominator]
+            return float(x)
+        return {"lo": enc(self.lo), "hi": enc(self.hi),
+                "lo_closed": self.lo_closed, "hi_closed": self.hi_closed}
+
+    @staticmethod
+    def from_dict(d):
+        def dec(x):
+            if isinstance(x, list):
+                return Fraction(x[0], x[1])
+            return float(x)
+        return Interval(dec(d["lo"]), dec(d["hi"]), d["lo_closed"], d["hi_closed"])
 
 
 @dataclass(frozen=True)
@@ -84,7 +136,7 @@ class StripFinding:
     """Certified eigenvalue-free strip at one vertex, or an explicit unknown."""
 
     vertex: int
-    free: Optional[Strip]
+    free: Optional[Interval]
     exceptional: Tuple[Tuple[float, str], ...] = ()
     rules: Tuple[str, ...] = ()
     assumptions: Tuple[str, ...] = ()
@@ -104,21 +156,6 @@ class StripFinding:
         return "; ".join(parts)
 
 
-def _merge(base: Strip, extra: Strip) -> Strip:
-    """Union of two overlapping freeness intervals."""
-    if extra.lo > base.hi or base.lo > extra.hi:
-        return base  # disjoint; keep the primary interval
-    if extra.lo < base.lo or (extra.lo == base.lo and extra.lo_closed):
-        lo, lo_closed = extra.lo, extra.lo_closed if extra.lo < base.lo else (extra.lo_closed or base.lo_closed)
-    else:
-        lo, lo_closed = base.lo, base.lo_closed
-    if extra.hi > base.hi or (extra.hi == base.hi and extra.hi_closed):
-        hi, hi_closed = extra.hi, extra.hi_closed if extra.hi > base.hi else (extra.hi_closed or base.hi_closed)
-    else:
-        hi, hi_closed = base.hi, base.hi_closed
-    return Strip(lo, hi, lo_closed, hi_closed)
-
-
 def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
                     edge_pairs: Sequence[Tuple[int, int]],
                     override: Optional[VertexBound] = None, *,
@@ -133,31 +170,31 @@ def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
     Rules are tried from the most specific; every applicable strip is merged.
     """
     ds = set(incident_d)
-    candidates: List[Tuple[str, Strip, Tuple[Tuple[float, str], ...], Tuple[str, ...]]] = []
+    candidates: List[Tuple[str, Interval, Tuple[Tuple[float, str], ...], Tuple[str, ...]]] = []
     notes: List[str] = []
     if ds == {0}:
         if cone.contained_in_half_space:
-            candidates.append(("R2", Strip(-0.5, 1.0, True, False),
+            candidates.append(("R2", Interval(-0.5, 1.0, True, False),
                                ((1.0, "constant-pressure eigenvector, no generalized eigenvectors"),),
                                ("cone contained in a half-space",)))
         else:
-            candidates.append(("R1", Strip(-0.5, 0.0), (), ()))
+            candidates.append(("R1", Interval(-0.5, 0.0, True, True), (), ()))
     elif ds == {3}:
         if lipschitz_graph:
-            candidates.append(("R3", Strip(-1.0, 0.0),
+            candidates.append(("R3", Interval(-1.0, 0.0, True, True),
                                ((0.0, "rigid motion"),
                                 (1.0, "listed by the quoted statement although outside its strip")),
                                ("Lipschitz-graph polyhedron",)))
         else:
             notes.append("all-stress vertex needs the Lipschitz-graph assumption; refusing to guess")
     if slip_class and ds <= {0, 2} and 2 in ds:
-        candidates.append(("R5", Strip(-0.5, 1.0, True, True),
+        candidates.append(("R5", Interval(-0.5, 1.0, True, True),
                            ((1.0, "simple eigenvalue"),),
                            ("convex polyhedron", "single slip face with edge openings below pi/2")))
     if max(ds) <= 2 and len(ds) >= 2 and all(0 in pair for pair in edge_pairs):
-        candidates.append(("R4", Strip(-1.0, 0.0), (), ()))
+        candidates.append(("R4", Interval(-1.0, 0.0, True, True), (), ()))
     if override is not None:
-        candidates.append(("R6", Strip(-0.5, override.bound, True, False), (),
+        candidates.append(("R6", Interval(-0.5, override.bound, True, False), (),
                            ("user bound via monotonicity over the enclosing circular cone: "
                             + (override.note or "unattributed"),)))
     if not candidates:
@@ -166,7 +203,7 @@ def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
     candidates.sort(key=lambda c: c[0])
     free = candidates[0][1]
     for _, strip, _, _ in candidates[1:]:
-        free = _merge(free, strip)
+        free = free.union(strip) or free  # a disjoint strip keeps the primary one
     exceptional: List[Tuple[float, str]] = []
     for _, _, exc, _ in candidates:
         for v, note in exc:
@@ -177,7 +214,7 @@ def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
     return StripFinding(cone.vertex, free, tuple(sorted(exceptional)), rules, assumptions)
 
 
-def strip_condition_holds(finding: StripFinding, target: Strip) -> Tuple[bool, str]:
+def strip_condition_holds(finding: StripFinding, target: Interval) -> Tuple[bool, str]:
     """Is the target strip certified free of eigenvalues?
 
     Endpoint openness is respected on both sides: an exceptional eigenvalue
@@ -185,11 +222,11 @@ def strip_condition_holds(finding: StripFinding, target: Strip) -> Tuple[bool, s
     """
     if finding.unknown:
         return False, "vertex %d: %s" % (finding.vertex, finding.describe())
-    if not finding.free.contains_strip(target):
+    if not finding.free.contains_interval(target):
         return False, ("vertex %d: required %s not inside certified %s"
                        % (finding.vertex, target, finding.free))
     for value, note in finding.exceptional:
-        if target.contains_value(value):
+        if target.contains(value):
             return False, ("vertex %d: exceptional eigenvalue %g (%s) lies in required %s"
                            % (finding.vertex, value, note, target))
     return True, ("vertex %d: %s covered by %s via %s"

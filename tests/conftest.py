@@ -5,7 +5,6 @@ from polystokes.regularity import DataFlags, ProblemSpec
 
 ALL_FLAGS = DataFlags(data_in_required_spaces=True,
                       compatibility_conditions_hold=True,
-                      L_V_trivial=True,
                       small_data=True,
                       lipschitz_graph=True)
 

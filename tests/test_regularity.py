@@ -219,6 +219,35 @@ def test_verdict_monotone_in_mu(step_dirichlet, monkeypatch):
     assert not any(flips)
 
 
+def test_uncertified_edge_exponent_gives_unknown(cube, monkeypatch, tmp_path, capsys):
+    # all-slip cube whose vertices are certified by user bounds (R6), so only
+    # the numeric edge exponents stand between the checks and a verdict
+    import polystokes.edge_pencil as ep
+    from polystokes.cli import main
+    from polystokes.geometry import VertexBound
+
+    def no_window(*args, **kwargs):
+        raise ep.WindowError("could not certify the edge exponent up to Re = 9.83")
+
+    monkeypatch.setattr(ep, "mu_numeric", no_window)
+    bounds = {v: VertexBound(0.9, "test bound") for v in range(len(cube.vertices))}
+    bc = fx.with_conditions(cube, 2)
+    spec = ProblemSpec(cube, bc, ALL_FLAGS, vertex_bounds=bounds)
+    rep = check(spec, RegularityQuery("W1", s=F(5, 2)))
+    assert rep.verdict == "unknown"
+    assert all(v.satisfied for v in rep.vertices)
+    assert all(not e.satisfied and e.mu == 0.0 and e.mu_provenance == "-"
+               and "could not certify" in e.requirement for e in rep.edges)
+    scan = max_s(spec, "W1")
+    assert scan.verdict == "unknown"
+    assert sum("ignores this edge" in n for n in scan.notes) == len(cube.edges)
+    path = tmp_path / "slip.domain"
+    path.write_text(fx.domain_document(cube, bc, bounds))
+    assert main(["analyze", "--input", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["w1"]["verdict"] == out["w2"]["verdict"] == "unknown"
+
+
 # -- the class table ------------------------------------------------------------
 
 PINNED = {

@@ -2,7 +2,7 @@ import pytest
 
 from polystokes import fixtures as fx
 from polystokes.geometry import VertexBound
-from polystokes.vertex_pencil import (Strip, StripFinding, eigenfree_strip,
+from polystokes.vertex_pencil import (Interval, StripFinding, eigenfree_strip,
                                       known_exceptional, strip_condition_holds)
 
 
@@ -82,36 +82,36 @@ def test_slip_class_rule():
 
 def test_strip_condition_examples(cube):
     r2 = _finding(cube, fx.with_conditions(cube, 0), 0)
-    ok, _ = strip_condition_holds(r2, Strip(-0.5, 1 - 3 / 4))  # any s > 0 keeps 1-3/s < 1
+    ok, _ = strip_condition_holds(r2, Interval(-0.5, 1 - 3 / 4, True, True))  # any s > 0 keeps 1-3/s < 1
     assert ok
-    r1 = StripFinding(0, Strip(-0.5, 0.0))
-    ok, _ = strip_condition_holds(r1, Strip(-0.5, -0.25))
+    r1 = StripFinding(0, Interval(-0.5, 0.0, True, True))
+    ok, _ = strip_condition_holds(r1, Interval(-0.5, -0.25, True, True))
     assert ok
-    ok, why = strip_condition_holds(r1, Strip(-0.5, 0.5))
+    ok, why = strip_condition_holds(r1, Interval(-0.5, 0.5, True, True))
     assert not ok and "not inside" in why
 
 
 def test_exceptional_blocks_closed_endpoint(cube):
     r2 = _finding(cube, fx.with_conditions(cube, 0), 0)
-    ok, _ = strip_condition_holds(r2, Strip(-0.5, 1.0))
+    ok, _ = strip_condition_holds(r2, Interval(-0.5, 1.0, True, True))
     assert not ok  # the eigenvalue at 1 is excluded only at an open endpoint
-    f = StripFinding(0, Strip(-0.5, 1.0, True, True), ((1.0, "simple"),))
-    ok, why = strip_condition_holds(f, Strip(-0.5, 1.0))
+    f = StripFinding(0, Interval(-0.5, 1.0, True, True), ((1.0, "simple"),))
+    ok, why = strip_condition_holds(f, Interval(-0.5, 1.0, True, True))
     assert not ok and "exceptional" in why
-    ok, _ = strip_condition_holds(f, Strip(-0.5, 0.99))
+    ok, _ = strip_condition_holds(f, Interval(-0.5, 0.99, True, True))
     assert ok
 
 
 def test_unknown_finding_never_holds():
     f = StripFinding(3, None)
-    ok, why = strip_condition_holds(f, Strip(-0.5, 0.0))
+    ok, why = strip_condition_holds(f, Interval(-0.5, 0.0, True, True))
     assert not ok and "no applicable rule" in why
 
 
 def test_rule_monotone_in_assumptions(cube):
     # adding the half-space predicate never shrinks the generic strip
     r2 = _finding(cube, fx.with_conditions(cube, 0), 0)
-    assert r2.free.contains_strip(Strip(-0.5, 0.0))
+    assert r2.free.contains_interval(Interval(-0.5, 0.0, True, True))
 
 
 def test_condition_monotone_in_target(cube):
@@ -123,8 +123,8 @@ def test_condition_monotone_in_target(cube):
         b = rng.uniform(a, 0.99)
         a2 = rng.uniform(a, b)
         b2 = rng.uniform(a2, b)
-        big, _ = strip_condition_holds(f, Strip(a, b))
-        small, _ = strip_condition_holds(f, Strip(a2, b2))
+        big, _ = strip_condition_holds(f, Interval(a, b, True, True))
+        small, _ = strip_condition_holds(f, Interval(a2, b2, True, True))
         if big:
             assert small
 
