@@ -265,15 +265,21 @@ def _cmd_analyze(args) -> int:
         if holder and args.sigma is None:
             warnings.append("skipping %s: needs --sigma" % t)
             continue
-        try:
-            if holder or args.s is not None:
+        query = None
+        if holder or args.s is not None:
+            try:
                 s = None if holder else Fraction(args.s) if "/" in args.s else float(args.s)
-                rep = check(spec, RegularityQuery(
+                query = RegularityQuery(
                     target, s=s, sigma=args.sigma if holder else None,
-                    beta=_parse_weights(args.beta), delta=_parse_weights(args.delta)),
-                    numeric_n=args.n)
-            else:
-                rep = max_s(spec, target, numeric_n=args.n)
+                    beta=_parse_weights(args.beta), delta=_parse_weights(args.delta))
+                query.betas(len(poly.vertices))  # one weight per vertex, or one for all
+                query.deltas(len(poly.edges))
+            except (ValueError, ZeroDivisionError) as exc:
+                print("input error: %s" % exc, file=sys.stderr)
+                return 1
+        try:
+            rep = check(spec, query, numeric_n=args.n) if query is not None \
+                else max_s(spec, target, numeric_n=args.n)
         except ValueError as exc:
             if target != "EXIST":
                 raise

@@ -12,7 +12,7 @@ Angles are always reported as measured inside the fluid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +51,9 @@ BC_INDEX = {
 }
 BC_NAMES = {v: k for k, v in BC_INDEX.items()}
 
+# margin below which a direction counts as lying on a supporting plane
+_SUPPORT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -71,20 +74,16 @@ class Edge:
 class VertexCone:
     """Predicates of the fluid cone at a vertex.
 
-    The half-space predicate is decided for the fluid side (interior samples
-    obtained by winding-number tests).  The enclosing aperture is the smallest
-    spherical cap covering the face/edge direction samples of the vertex
-    figure; for complement domains this caps the shared boundary figure, so
-    it must not be used as a containment bound for the reflex fluid cone
-    (the user bound table is the injection point for such comparisons).
+    ``contained_in_half_space``: the cone boundary (the incident face sectors)
+    lies in a closed half-space through the vertex, up to a margin of
+    ``_SUPPORT_TOL``, and the fluid lies on that half-space's side.  Both
+    parts are decided from the face geometry alone, so the answer does not
+    depend on how the domain is placed in space.
     """
 
     vertex: int
     normals: np.ndarray  # outward unit normals of the incident faces
-    edge_rays: np.ndarray  # unit directions of incident edges, away from v
     contained_in_half_space: bool
-    enclosing_circular_cone_aperture: Optional[float]  # radians, or None
-    is_convex_corner: bool
 
 
 @dataclass(frozen=True)
@@ -297,30 +296,28 @@ class Polyhedron:
         faces = self.incident_faces(vertex)
         if len(faces) < 3:
             raise MeshError("vertex %d has fewer than 3 incident faces" % vertex)
-        normals = self.face_normals[list(faces)]
-        rays = self._edge_rays(vertex)
-        boundary = np.vstack([rays, self._wedge_samples(vertex, faces)])
-        interior = self._domain_direction_samples(vertex)
-        samples = np.vstack([boundary, interior]) if len(interior) else boundary
-        contained = _half_space_feasible(samples)
-        # cap of the vertex-figure boundary (face/edge directions); for
-        # complement cones this bounds the boundary figure, not the open cone
-        aperture = _enclosing_cap_aperture(boundary, boundary)
-        convex_corner = all(e.theta < math.pi - 1e-12 for e in self.incident_edges(vertex))
-        cone = VertexCone(vertex, normals, rays, contained, aperture, convex_corner)
+        gens = self._sector_generators(vertex, faces)
+        w = _supporting_normal(gens)
+        contained = w is not None
+        if contained and (gens @ w).max() > _SUPPORT_TOL:
+            # the open half-space w . x < 0 misses the boundary, so it is all
+            # fluid or all solid; one winding number at distance eps decides
+            # (a boundary flat on the plane leaves a half-space on either side)
+            probe = self.vertices[vertex] - 1e-4 * self._diag * w
+            contained = bool(self._winding(probe[None, :])[0] > 0.5) == self.complement
+        cone = VertexCone(vertex, self.face_normals[list(faces)], contained)
         self._cone_cache[vertex] = cone
         return cone
 
-    def _edge_rays(self, vertex: int) -> np.ndarray:
-        v = self.vertices[vertex]
-        rays = []
-        for e in self.incident_edges(vertex):
-            other = e.endpoints[1] if e.endpoints[0] == vertex else e.endpoints[0]
-            rays.append(_unit(self.vertices[other] - v))
-        return np.array(rays)
+    def _sector_generators(self, vertex: int, faces: Sequence[int]) -> np.ndarray:
+        """Edge rays and in-face corner bisectors of the face sectors at a vertex.
 
-    def _wedge_samples(self, vertex: int, faces: Sequence[int], per_wedge: int = 9) -> np.ndarray:
-        """Directions along each incident face wedge, swept through the face corner."""
+        Each face sector turns from the ray to the next loop vertex through the
+        face's corner angle; its bisector splits it into two convex halves, so
+        the sector lies in a closed half-space through the vertex exactly when
+        its rays and bisector do.  Every edge ray leads one sector, so each
+        appears once.
+        """
         v = self.vertices[vertex]
         out = []
         for k in faces:
@@ -331,23 +328,8 @@ class Polyhedron:
             nf = self.face_normals[k]
             # interior corner angle of the face at v, in (0, 2*pi)
             ang = math.atan2(float(np.dot(np.cross(a, b), nf)), float(np.dot(a, b))) % (2 * math.pi)
-            u = np.cross(nf, a)
-            for t in np.linspace(0.0, 1.0, per_wedge):
-                w = math.cos(t * ang) * a + math.sin(t * ang) * u
-                out.append(w)
+            out += [a, math.cos(ang / 2) * a + math.sin(ang / 2) * np.cross(nf, a)]
         return np.array(out)
-
-    def _domain_direction_samples(self, vertex: int, n: int = 350) -> np.ndarray:
-        """Unit directions d with v + eps*d inside the fluid (winding-number test)."""
-        v = self.vertices[vertex]
-        eps = 1e-4 * self._diag
-        dirs = _fibonacci_sphere(n)
-        pts = v[None, :] + eps * dirs
-        wind = self._winding(pts)
-        inside = wind > 0.5
-        if self.complement:
-            inside = ~inside
-        return dirs[inside]
 
     def _winding(self, pts: np.ndarray) -> np.ndarray:
         """Generalized winding number of the closed surface at each point."""
@@ -361,14 +343,6 @@ class Polyhedron:
     def __repr__(self):
         return "Polyhedron(name=%r, V=%d, E=%d, F=%d, complement=%r)" % (
             self.name, len(self.vertices), len(self.edges), len(self.faces), self.complement)
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n) + 0.5
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
 def _triangle_solid_angle(a, b, c, pts: np.ndarray) -> np.ndarray:
@@ -400,81 +374,23 @@ def graph_direction_feasible(normals: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(res.success and res.x[3] > tol)
 
 
-def _half_space_feasible(dirs: np.ndarray, tol: float = 1e-9) -> bool:
-    """Is there a direction w with w . d >= 0 for every sampled direction d?
+def _supporting_normal(gens: np.ndarray) -> Optional[np.ndarray]:
+    """A unit w with w . g >= -_SUPPORT_TOL for every generator g, or None.
 
-    Solved as a linear program maximizing the worst margin; containment needs
-    the optimum to be nonnegative (a supporting plane through the vertex is
-    allowed).
+    If some closed half-space through the origin holds every generator, one
+    such half-space has two linearly independent generators on its boundary
+    plane, so the candidates +-(g_i x g_j) are exhaustive.  The candidate with
+    the largest worst margin is returned; a zero margin (a generator on the
+    plane) is accepted.
     """
-    m = len(dirs)
-    if m == 0:
-        return False
-    # variables (w1, w2, w3, t); maximize t subject to d.w >= t, |w_i| <= 1
-    c = np.array([0.0, 0.0, 0.0, -1.0])
-    A_ub = np.hstack([-dirs, np.ones((m, 1))])
-    b_ub = np.zeros(m)
-    bounds = [(-1, 1), (-1, 1), (-1, 1), (-2, 2)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return False
-    t = res.x[3]
-    if np.linalg.norm(res.x[:3]) < 1e-12:
-        return False
-    return bool(t >= -tol)
-
-
-def _cap_candidate_axes(pts: np.ndarray) -> np.ndarray:
-    """Candidate cap axes from single points, pairs and triples of samples.
-
-    The smallest enclosing cap is supported by at most three directions: its
-    axis is one sample, the bisector of two, or equidistant from three (the
-    normal of their affine plane, either sign).
-    """
-    n = len(pts)
-    axes = [pts]
-    if n >= 2:
-        i, j = np.triu_indices(n, 1)
-        axes.append(pts[i] + pts[j])
-    if n >= 3:
-        import itertools
-        combos = np.array(list(itertools.combinations(range(n), 3)))
-        d1 = pts[combos[:, 0]] - pts[combos[:, 1]]
-        d2 = pts[combos[:, 0]] - pts[combos[:, 2]]
-        w = np.cross(d1, d2)
-        axes.append(w)
-        axes.append(-w)
-    cand = np.vstack(axes)
+    i, j = np.triu_indices(len(gens), 1)
+    cand = np.cross(gens[i], gens[j])
     norms = np.linalg.norm(cand, axis=1)
     cand = cand[norms > 1e-12] / norms[norms > 1e-12, None]
-    return cand
-
-
-def _enclosing_cap_aperture(support_pts: np.ndarray, cover_pts: np.ndarray,
-                            tol: float = 1e-9) -> Optional[float]:
-    """Aperture (2x angular radius) of the smallest cap covering the samples.
-
-    Candidate axes come from the boundary (face/edge) samples; the cap must
-    cover every sampled domain direction.  Exact when the optimum is supported
-    by at most 3 points.  Returns None when no proper cap exists.
-    """
-    pts = np.asarray(support_pts)
-    if len(pts) > 40:  # thin out for the cubic candidate sweep
-        idx = np.linspace(0, len(pts) - 1, 40).astype(int)
-        pts = pts[idx]
-    cand = _cap_candidate_axes(pts)
-    if not len(cand):
-        return None
-    margins = (np.asarray(cover_pts) @ cand.T).min(axis=0)
+    cand = np.vstack([cand, -cand])
+    margins = (gens @ cand.T).min(axis=0)
     best = int(np.argmax(margins))
-    cosr, axis = float(margins[best]), cand[best]
-    if cosr <= -1 + 1e-9:
-        return None
-    # certification: every sampled direction inside the cap
-    if float(np.min(cover_pts @ axis)) < cosr - tol:
-        return None
-    radius = math.acos(max(-1.0, min(1.0, cosr)))
-    return 2.0 * radius
+    return cand[best] if margins[best] >= -_SUPPORT_TOL else None
 
 
 # -- domain files ---------------------------------------------------------------

@@ -201,7 +201,6 @@ def _slip_class(spec: ProblemSpec) -> bool:
 
 
 def vertex_findings(spec: ProblemSpec) -> Dict[int, StripFinding]:
-    convex = spec.poly.is_convex()
     slip_class = _slip_class(spec)
     findings = {}
     for v in range(len(spec.poly.vertices)):
@@ -210,8 +209,7 @@ def vertex_findings(spec: ProblemSpec) -> Dict[int, StripFinding]:
         pairs = [spec.bc.pair(e) for e in spec.poly.incident_edges(v)]
         finding = eigenfree_strip(
             cone, incident, pairs, spec.vertex_bounds.get(v),
-            convex=convex, lipschitz_graph=spec.flags.lipschitz_graph,
-            slip_class=slip_class)
+            lipschitz_graph=spec.flags.lipschitz_graph, slip_class=slip_class)
         if spec.flags.lipschitz_graph and "R3" in finding.rules and \
                 not graph_direction_feasible(cone.normals):
             # the flag is honored (it is an assumption, never tested by the

@@ -159,7 +159,6 @@ class StripFinding:
 def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
                     edge_pairs: Sequence[Tuple[int, int]],
                     override: Optional[VertexBound] = None, *,
-                    convex: bool = False,
                     lipschitz_graph: Optional[bool] = None,
                     slip_class: bool = False) -> StripFinding:
     """Apply the rule catalogue at one vertex.

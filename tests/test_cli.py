@@ -118,3 +118,35 @@ def test_perturbed_fixture_detected():
     assert not ok
     assert results[0]["pass"] is False
     assert all(r["pass"] for r in results[1:])
+
+
+@pytest.fixture(scope="module")
+def cube_file(tmp_path_factory):
+    cube = fx.cube()
+    path = tmp_path_factory.mktemp("domains") / "cube.domain"
+    path.write_text(fx.domain_document(cube, fx.with_conditions(cube, 0)))
+    return str(path)
+
+
+_BAD_QUERIES = (
+    [(["--target", t, "--s", "1"], "s > 1") for t in ("w1", "w2", "exist")]
+    + [(["--target", t, "--sigma", "1.5"], "sigma in (0, 1)") for t in ("c1", "c2")]
+    + [(["--target", t, "--s", "abc"], "abc") for t in ("w1", "w2", "exist")]
+    + [(["--target", t, "--s", "5/2", "--sigma", "0.5", "--beta", "1,2"],
+        "one entry per vertex") for t in ("w1", "w2", "c1", "c2", "exist")])
+
+
+@pytest.mark.parametrize("extra,message", _BAD_QUERIES)
+def test_analyze_bad_query_is_input_error(cube_file, capsys, extra, message):
+    assert main(["analyze", "--input", cube_file] + extra) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ") and message in err
+
+
+def test_analyze_exist_without_velocity_edge_warns(tmp_path, capsys):
+    cube = fx.cube()
+    path = tmp_path / "slip.domain"
+    path.write_text(fx.domain_document(cube, fx.with_conditions(cube, 2)))
+    assert main(["analyze", "--input", str(path), "--target", "exist", "--s", "5/2"]) == 0
+    assert "warning: existence check not applicable" in capsys.readouterr().out
