@@ -230,11 +230,18 @@ def _cmd_pencil(args) -> int:
     return 0
 
 
-def _parse_weights(text: Optional[str]):
+def _parse_number(option: str, text: str):
+    """A rational ('5/2', '3') or a decimal ('2.5'); errors name the option."""
+    try:
+        return Fraction(text) if "/" in text or "." not in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("%s: %r is not a number" % (option, text)) from None
+
+
+def _parse_weights(option: str, text: Optional[str]):
     if text is None:
         return 0
-    parts = [p for p in text.split(",") if p.strip()]
-    vals = tuple(Fraction(p) if "/" in p or "." not in p else float(p) for p in parts)
+    vals = tuple(_parse_number(option, p) for p in text.split(",") if p.strip())
     return vals[0] if len(vals) == 1 else vals
 
 
@@ -266,17 +273,19 @@ def _cmd_analyze(args) -> int:
             warnings.append("skipping %s: needs --sigma" % t)
             continue
         query = None
-        if holder or args.s is not None:
-            try:
-                s = None if holder else Fraction(args.s) if "/" in args.s else float(args.s)
-                query = RegularityQuery(
-                    target, s=s, sigma=args.sigma if holder else None,
-                    beta=_parse_weights(args.beta), delta=_parse_weights(args.delta))
+        try:
+            beta, delta = _parse_weights("--beta", args.beta), _parse_weights("--delta", args.delta)
+            if holder or args.s is not None:
+                s = None if holder else _parse_number("--s", args.s)
+                query = RegularityQuery(target, s=s, sigma=args.sigma if holder else None,
+                                        beta=beta, delta=delta)
                 query.betas(len(poly.vertices))  # one weight per vertex, or one for all
                 query.deltas(len(poly.edges))
-            except (ValueError, ZeroDivisionError) as exc:
-                print("input error: %s" % exc, file=sys.stderr)
-                return 1
+            elif args.beta is not None or args.delta is not None:
+                raise ValueError("--beta/--delta need --s (the interval scan is unweighted)")
+        except ValueError as exc:
+            print("input error: %s" % exc, file=sys.stderr)
+            return 1
         try:
             rep = check(spec, query, numeric_n=args.n) if query is not None \
                 else max_s(spec, target, numeric_n=args.n)

@@ -9,13 +9,15 @@ eigenvalue sitting inside a required strip), ``unknown`` when certification is
 out of reach (e.g. no vertex rule applies, or no window certifies an edge
 exponent).
 
-Every target is one row of a rule table (``_RULES``) evaluated by one
-procedure, ``_evaluate``.  ``max_s`` scans the admissible nonweighted
-integrability interval from the same rows and names the binding constraint.
-``decision_table`` reproduces the worked-example class results (classes of
-domains and condition patterns, with exact rational interval endpoints);
-checks fall back to a matching table row when the per-vertex rules alone
-cannot certify a nonweighted query.
+Every target is one row of a rule table (``_RULES``).  Each condition is
+stated once, as a window: the edge inequality as the admissible values of the
+weighted edge quantity, the vertex condition as the admissible levels of the
+strip, the floors as windows of s or of the shifted weights.  ``check`` tests
+the query's terms against them; ``max_s`` maps the same windows to s at zero
+weights and names the binding constraint.  ``decision_table`` reproduces the
+worked-example class results (classes of domains and condition patterns, with
+exact rational interval endpoints); a nonweighted vertex falls back to the
+widest matching table row when its strip alone cannot certify it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .edge_pencil import MuValue, WindowError, lambda1_of_edge, mu_k, mu_lower_bound
 from .geometry import (BoundaryAssignment, Edge, Polyhedron, VertexBound,
@@ -259,10 +261,13 @@ def _require_velocity_edges(spec: ProblemSpec, detail: str = "") -> None:
                              % (e.id, detail))
 
 
+_ANCHOR = Fraction(-1, 2)  # the energy line every vertex strip starts from
+
+
 def _strip_for(level: Eps, anchor_closed: bool) -> Interval:
-    """Strip between the energy line -1/2 and the level line (closed there),
+    """Strip between the energy line and the level line (closed there),
     whichever order."""
-    anchor = as_eps(Fraction(-1, 2))
+    anchor = as_eps(_ANCHOR)
     if level >= anchor:
         return Interval(anchor, level, anchor_closed, True)
     return Interval(level, anchor, True, anchor_closed)
@@ -270,26 +275,19 @@ def _strip_for(level: Eps, anchor_closed: bool) -> Interval:
 
 # -- the rule table -----------------------------------------------------------------
 
-class _Terms(NamedTuple):
-    """The query's exponent terms: 2/s and 3/s (Sobolev rows) or sigma (Holder)."""
-
-    two_s: Optional[Eps]
-    three_s: Optional[Eps]
-    sigma: Optional[Eps]
-
-
 @dataclass(frozen=True)
 class _Floor:
-    """A floor on s, on each vertex weight or on each edge weight.
-
-    ``ok(x, terms)`` tests one value; a violation adds ``note``, formatted
-    with the vertex or edge index.
-    """
+    """A window for s, or for each vertex or edge weight shifted by +3/s
+    (Sobolev rows) or -sigma (Holder rows).  A value outside it adds ``note``,
+    formatted with the vertex or edge index.  ``scan`` names the floor in
+    ``max_s``: its label, and a note for a nonlinear-only floor (the edge
+    window implies it at zero weights)."""
 
     scope: str  # 's' | 'vertex' | 'edge'
-    ok: Callable[[object, _Terms], bool]
+    window: Interval
     note: str
     nonlinear_only: bool = False
+    scan: str = ""
 
 
 @dataclass(frozen=True)
@@ -302,7 +300,6 @@ class _Rule:
     -1/2.  The edge condition is order - mu < weighted < order, or with
     ``first_eigenvalue`` the window 1 - Re(lambda1) < weighted < 1 + Re(lambda1),
     strict at both ends because the first-eigenvalue bounds may be attained.
-    ``scan`` lists the s-floors of ``max_s`` (a None floor is a note).
     """
 
     target: str
@@ -317,7 +314,6 @@ class _Rule:
     guaranteed_reason: bool = True   # say when a guaranteed eigenvalue blocks a vertex
     class_fallback: bool = False     # a matching class row certifies nonweighted vertices
     velocity_edges: bool = False     # every edge needs a velocity-prescribed face
-    scan: Tuple[Tuple[Optional[Fraction], bool, str], ...] = ()  # (floor, nonlinear only, label)
 
 
 _DATA = ("data_in_required_spaces", "data in the required spaces", None)
@@ -325,28 +321,26 @@ _LIFTING = ("compatibility_conditions_hold",
             "edge compatibility conditions (existence of a lifting)", None)
 
 
+def _above(x: Fraction, closed: bool = False) -> Interval:
+    return Interval(x, INF, closed, True)
+
+
+def _below(x: Fraction, closed: bool = False) -> Interval:
+    return Interval(-INF, x, True, closed)
+
+
 def _holder_cap(cap: Fraction) -> _Floor:
-    return _Floor("vertex", lambda b, t: b - t.sigma < as_eps(cap),
-                  "vertex {}: beta - sigma must stay below %s" % cap)
+    return _Floor("vertex", _below(cap), "vertex {}: beta - sigma must stay below %s" % cap)
 
 
 _RULES = {rule.target: rule for rule in (
     _Rule("W1", 1, "max(1-mu, 0) < delta+2/s=%s < 1", (_DATA,),
-          floors=(_Floor("s", lambda s, t: s > Fraction(6, 5),
-                         "nonlinear first-order result needs s > 6/5", nonlinear_only=True),),
-          clamp=True, bound_note=True, class_fallback=True,
-          scan=((Fraction(2), False, "edge weight window delta+2/s < 1 at zero weights"),
-                (None, True, "nonlinear floor s > 6/5 subsumed by s > 2"))),
+          floors=(_Floor("s", _above(Fraction(6, 5)),
+                         "nonlinear first-order result needs s > 6/5", nonlinear_only=True,
+                         scan="nonlinear floor s > 6/5 subsumed by s > 2"),),
+          clamp=True, bound_note=True, class_fallback=True),
     _Rule("W2", 2, "max(2-mu, 0) < delta+2/s=%s < 2", (_DATA, _LIFTING),
-          # the weight floor of the second-order nonlinear result; vacuous when
-          # the iteration starts at the target weights (beta_j >= 2 - 3/s)
-          floors=(_Floor("vertex", lambda b, t: not b < as_eps(2) - t.three_s
-                         or b + t.three_s < as_eps(Fraction(5, 2)),
-                         "vertex {}: weight floor beta + 3/s < 5/2 violated",
-                         nonlinear_only=True),),
-          clamp=True, bound_note=True, class_fallback=True,
-          scan=((Fraction(1), False, "edge weight window delta+2/s < 2 at zero weights"),
-                (Fraction(6, 5), True, "nonlinear weight floor at zero weights"))),
+          clamp=True, bound_note=True, class_fallback=True),
     _Rule("C1", 1, "1-mu < delta-sigma=%s < 1", (_DATA, _LIFTING),
           floors=(_holder_cap(Fraction(3, 2)),), holder=True),
     _Rule("C2", 2, "2-mu < delta-sigma=%s < 2", (_DATA, _LIFTING),
@@ -356,25 +350,104 @@ _RULES = {rule.target: rule for rule in (
            ("compatibility_conditions_hold",
             "flux compatibility for the velocity/slip-only configuration",
             lambda sp: _all_d(sp, 0, 2))),
-          floors=(_Floor("s", lambda s, t: s > Fraction(3, 2), "existence result needs s > 3/2"),
-                  _Floor("vertex", lambda b, t: b + t.three_s <= as_eps(2),
+          floors=(_Floor("s", _above(Fraction(3, 2)), "existence result needs s > 3/2",
+                         scan="existence needs s > 3/2"),
+                  _Floor("vertex", _below(Fraction(2), True),
                          "vertex {}: beta + 3/s must not exceed 2"),
-                  _Floor("edge", lambda d, t: d + t.three_s <= as_eps(2),
+                  _Floor("edge", _below(Fraction(2), True),
                          "edge {}: delta + 3/s must not exceed 2")),
           first_eigenvalue=True, guaranteed_reason=False, class_fallback=True,
-          velocity_edges=True, scan=((Fraction(3, 2), False, "existence needs s > 3/2"),)),
+          velocity_edges=True),
 )}
 
 
-def _edge_ok(rule: _Rule, mu: MuValue, weighted: Eps) -> bool:
+# -- the conditions, each stated once -------------------------------------------------
+#
+# ``check`` tests the query's terms against these windows; ``max_s`` maps the
+# same windows to s at zero weights through ``_s_window``.
+
+_NOWHERE = Interval(Fraction(1), Fraction(1))
+
+
+def _flags(rule: _Rule, spec: ProblemSpec) -> List[Tuple[str, bool]]:
+    """(name, asserted) of every data flag the rule echoes for this spec."""
+    return [(name, getattr(spec.flags, attr)) for attr, name, applies in rule.flags
+            if applies is None or applies(spec)]
+
+
+def _edge_window(rule: _Rule, mu: MuValue) -> Interval:
+    """Admissible values of the weighted edge quantity (delta + 2/s, or
+    delta - sigma).
+
+    A class bound enters as its exact rational; the exponent exceeds it
+    strictly, so order - bound <= weighted already gives the strict
+    inequality for the exponent itself.
+    """
+    b = mu.value if mu.bound is None else mu.bound
     if rule.first_eigenvalue:
-        return as_eps(rule.order - mu.value) < weighted < as_eps(rule.order + mu.value)
-    if not weighted < as_eps(rule.order) or (rule.clamp and not as_eps(0) < weighted):
-        return False
-    # the class bounds are exceeded strictly, so order - bound <= weighted
-    # already implies the strict inequality for the exponent itself
-    need = as_eps(rule.order - mu.value)
-    return need <= weighted if mu.is_lower_bound else need < weighted
+        return Interval(rule.order - b, rule.order + b)
+    lo, lo_closed = rule.order - b, mu.is_lower_bound
+    if rule.clamp and not lo > 0:
+        lo, lo_closed = 0, False
+    return Interval(lo, rule.order, lo_closed, False)
+
+
+def _level_window(finding: StripFinding, anchor_closed: bool) -> Interval:
+    """The vertex condition as a window of the level L: the strip between the
+    energy line and L is certified free iff L lies in it (the certified strip
+    minus its exceptional eigenvalues; empty when no rule applies)."""
+    free, anchor = finding.free, float(_ANCHOR)  # the strip catalogue's ends are floats
+    if finding.unknown or not free.contains_interval(
+            Interval(anchor, anchor, anchor_closed, anchor_closed)):
+        return _NOWHERE
+    lo, hi, lo_closed, hi_closed = free.lo, free.hi, free.lo_closed, free.hi_closed
+    for value, _ in finding.exceptional:
+        if anchor < value <= hi:
+            hi, hi_closed = value, False
+        elif lo <= value < anchor:
+            lo, lo_closed = value, False
+        elif value == anchor and anchor_closed:
+            return _NOWHERE
+    return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def _row_fallback(spec: ProblemSpec, target: str) -> Optional[DecisionRow]:
+    """The matching class row with the widest upper end.  The rows of one
+    target share their lower end, so it contains every other matching row."""
+    return max(matching_rows(spec, target),
+               key=lambda row: (row.interval.hi, row.interval.hi_closed), default=None)
+
+
+def _quotient(k: int, q, up: bool):
+    """k/q as an interval end.  A float quotient that rounded the wrong way
+    (so that the check at the end itself would contradict its openness) moves
+    one float ``up`` or down; for a float q that is a multiple of 1/2 (the
+    strip catalogue stores its numbers so) it becomes the exact quotient."""
+    if not isinstance(q, float):
+        return Fraction(k) / q
+    s = k / q
+    (ns, ds), (nq, dq) = s.as_integer_ratio(), q.as_integer_ratio()
+    error = ns * nq - k * ds * dq  # s*q - k, times the positive ds*dq
+    if error == 0 or ((error > 0) == (q > 0)) == up:  # exact, or s on the side asked
+        return s
+    if (2 * q).is_integer():
+        return Fraction(k) / Fraction(q)
+    return math.nextafter(s, math.inf if up else -math.inf)
+
+
+def _s_window(window: Interval, c, k) -> Interval:
+    """The s in (1, inf] with c + k/s in ``window`` (k != 0)."""
+    lo, hi = (window.lo, window.lo_closed), (window.hi, window.hi_closed)
+    if k < 0:
+        lo, hi = hi, lo
+    # 1/s = (x - c)/k runs from the end ``lo`` up to the end ``hi``; a closed
+    # end rounds into the interval, an open one out of it
+    (a, a_closed), (b, b_closed) = lo, hi
+    if not (b - c) * k > 0:
+        return _NOWHERE
+    s_hi = (_quotient(k, a - c, not a_closed), a_closed) if (a - c) * k > 0 else (INF, True)
+    return _EVERYTHING.intersect(
+        Interval(_quotient(k, b - c, b_closed), s_hi[0], b_closed, s_hi[1]))
 
 
 # -- the theorem checks -------------------------------------------------------------
@@ -391,19 +464,16 @@ def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
     rep = RegularityReport(rule.target, "unknown")
     if rule.holder:
         rep.sigma = float(query.sigma)
-        t = _Terms(None, None, as_eps(query.sigma))
+        sigma = as_eps(query.sigma)
     else:
         rep.s = float(query.s)
         inv = Fraction(1) / Fraction(query.s) if isinstance(query.s, (int, Fraction)) \
             else 1.0 / query.s
-        t = _Terms(as_eps(2 * inv), as_eps(3 * inv), None)
-    missing = []
-    for attr, name, applies in rule.flags:
-        if applies is None or applies(spec):
-            asserted = getattr(spec.flags, attr)
-            rep.assumptions.append("%s: %s" % (name, "asserted" if asserted else "NOT asserted"))
-            if not asserted:
-                missing.append(name)
+        two_s, three_s = as_eps(2 * inv), as_eps(3 * inv)
+    flags = _flags(rule, spec)
+    rep.assumptions = ["%s: %s" % (name, "asserted" if ok else "NOT asserted")
+                       for name, ok in flags]
+    missing = [name for name, ok in flags if not ok]
     betas = query.betas(len(spec.poly.vertices))
     deltas = query.deltas(len(spec.poly.edges))
     floors_ok = True
@@ -412,12 +482,14 @@ def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
             continue
         values = {"s": (query.s,), "vertex": betas, "edge": deltas}[floor.scope]
         for i, x in enumerate(values):
-            if not floor.ok(x, t):
+            if floor.scope != "s":
+                x = x - sigma if rule.holder else x + three_s
+            if not floor.window.contains(x):
                 floors_ok = False
                 rep.notes.append(floor.note.format(i))
     edges_ok, any_unknown = True, False
     for e, dk in zip(spec.poly.edges, deltas):
-        if rule.holder and (dk < 0 or any(dk == as_eps(k) + t.sigma for k in range(rule.order))):
+        if rule.holder and (dk < 0 or any(dk == as_eps(k) + sigma for k in range(rule.order))):
             why = ("edge weights must be nonnegative" if dk < 0
                    else "delta equals an excluded resonance value")
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
@@ -428,8 +500,8 @@ def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
             any_unknown = True
             continue
-        weighted = dk - t.sigma if rule.holder else dk + t.two_s
-        ok = _edge_ok(rule, mu, weighted)
+        weighted = dk - sigma if rule.holder else dk + two_s
+        ok = _edge_window(rule, mu).contains(weighted)
         rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance,
                                    rule.edge_requirement % weighted, ok))
         if not ok and mu.is_lower_bound and rule.bound_note:
@@ -439,26 +511,28 @@ def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
     # vertices: no eigenvalues in the strip between -1/2 and the level line
     findings = vertex_findings(spec)
     guaranteed = known_exceptional(spec.bc.values())
+    row = _row_fallback(spec, rule.target) \
+        if rule.class_fallback and query.is_nonweighted() else None
     vertices_ok, definite_fail = True, False
     for v, b in enumerate(betas):
-        level = (as_eps(rule.order) + t.sigma - b if rule.holder
-                 else as_eps(rule.order) - b - t.three_s)
+        f = findings[v]
+        level = (as_eps(rule.order) + sigma - b if rule.holder
+                 else as_eps(rule.order) - b - three_s)
         target = _strip_for(level, anchor_closed=not rule.holder)
-        ok, why = strip_condition_holds(findings[v], target)
-        if not ok and rule.class_fallback and query.is_nonweighted():
-            row = _row_fallback(spec, rule.target, query.s)
-            if row is not None:
-                ok, why = True, "class result %s: admissible interval %s" % (row.row_id, row.interval)
-                rep.citations.append("class:%s" % row.row_id)
+        ok = _level_window(f, not rule.holder).contains(level)
+        why = strip_condition_holds(f, target)[1]  # the explanation of that verdict
+        if not ok and row is not None and row.interval.contains(query.s):
+            ok, why = True, "class result %s: admissible interval %s" % (row.row_id, row.interval)
+            rep.citations.append("class:%s" % row.row_id)
         if not ok and any(target.contains(g) for g in guaranteed):
             definite_fail = True
             if rule.guaranteed_reason:
                 why += "; a guaranteed eigenvalue of this configuration lies in the strip"
-        elif not ok and findings[v].unknown:
+        elif not ok and f.unknown:
             any_unknown = True
-        rep.vertices.append(VertexCheck(v, findings[v].describe(), str(target), ok, why))
+        rep.vertices.append(VertexCheck(v, f.describe(), str(target), ok, why))
         vertices_ok = vertices_ok and ok
-        rep.citations.extend("vertex-rule:%s" % r for r in findings[v].rules)
+        rep.citations.extend("vertex-rule:%s" % r for r in f.rules)
     rep.citations = sorted(set(rep.citations))
     if missing:
         any_unknown = True
@@ -472,69 +546,14 @@ def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
 
 # -- admissible interval scan ----------------------------------------------------
 
-_Constraint = Tuple[Interval, str]
-
-
-def _edge_interval(rule: _Rule, mu: MuValue, edge: Edge) -> Tuple[str, Optional[_Constraint]]:
-    """(requirement, admissible s-range) from one edge at zero weights.
-
-    A class bound enters as its exact rational; the exponent exceeds it
-    strictly, so the endpoint it gives is attained.
-    """
-    b = mu.value if mu.bound is None else mu.bound
-    label = "edge %d (theta=%.6g)" % (edge.id, edge.theta)
-    if rule.first_eigenvalue:
-        hi = 2 / (1 - b) if b < 1 else INF
-        return ("weight window around the first eigenvalue",
-                (Interval(2 / (1 + b), hi, False, b >= 1), label))
-    req = "s below 2/(%d - mu) when mu < %d" % (rule.order, rule.order)
-    if not b < rule.order:
-        return req, None
-    if mu.bound is not None:
-        label = "edge %d via guaranteed bound mu > %s" % (edge.id, b)
-    return req, (Interval(Fraction(1), 2 / (rule.order - b), False, mu.bound is not None), label)
-
-
-def _vertex_interval(finding: StripFinding, order: int, label: str) -> Optional[_Constraint]:
-    """Admissible s-range from one vertex strip at zero weights.
-
-    The required strip runs between -1/2 and L(s) = order - 3/s.
-    """
-    if finding.unknown:
-        return None
-    free = finding.free
-    iv = _EVERYTHING
-    # upper side: L(s) must stay within the free strip's upper end; lower
-    # side: L(s) below -1/2 must still be covered (always so from order - 3)
-    if as_eps(free.hi) < as_eps(order):
-        iv = iv.intersect(Interval(Fraction(1), _solve_level(order, free.hi), False,
-                                   free.hi_closed))
-    if as_eps(free.lo) > as_eps(order - 3):
-        iv = iv.intersect(Interval(_solve_level(order, free.lo), INF, free.lo_closed, True))
-    for value, _note in finding.exceptional:
-        if as_eps(Fraction(-1, 2)) < as_eps(value) < as_eps(order):
-            iv = iv.intersect(Interval(Fraction(1), _solve_level(order, value), False, False))
-        elif as_eps(value) < as_eps(Fraction(-1, 2)):
-            iv = iv.intersect(Interval(_solve_level(order, value), INF, False, True))
-    return iv, "%s strip %s" % (label, free)
-
-
-def _solve_level(order: int, level) -> Union[Fraction, float]:
-    """Solve order - 3/s = level for s (epsilon parts of rule strips are zero)."""
-    diff = as_eps(order) - as_eps(level)
-    val = diff.val
-    if isinstance(val, (int, Fraction)):
-        return Fraction(3) / Fraction(val)
-    return 3.0 / float(val)
-
-
 def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityReport:
     """Admissible nonweighted s-interval for a first/second-order or existence
     target, with the binding constraint named.
 
-    Equal-condition edges use the exact exponent; changed-condition edges use
-    the guaranteed class bounds so the interval endpoints stay exact rationals
-    where the worked examples state them.
+    The constraints are the windows ``check`` tests, read at zero weights; a
+    vertex admits the s its strip certifies and those of the widest matching
+    class row.  When they leave several intervals, the one reaching furthest
+    up is reported and the others are named in a note.
     """
     if target not in ("W1", "W2", "EXIST"):
         raise ValueError("max_s supports W1, W2 and EXIST")
@@ -542,65 +561,85 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
     if rule.velocity_edges:
         _require_velocity_edges(spec)
     rep = RegularityReport(target, "holds")
-    constraints: List[_Constraint] = []
-    for lo, nonlinear_only, label in rule.scan:
-        if nonlinear_only and spec.kind != "navier-stokes":
+    # (admissible pieces, label of the lower end, label of the upper end)
+    constraints: List[Tuple[List[Interval], str, str]] = []
+    for floor in rule.floors:
+        if floor.nonlinear_only and spec.kind != "navier-stokes":
             continue
-        if lo is None:
-            rep.notes.append(label)
-        else:
-            constraints.append((Interval(lo, INF, False, True), label))
+        if floor.nonlinear_only:
+            rep.notes.append(floor.scan)
+        label = floor.scan or floor.note.format("*")
+        iv = floor.window if floor.scope == "s" else _s_window(floor.window, 0, 3)
+        constraints.append(([iv], label, label))
     uncertified_edges = False
     for e in spec.poly.edges:
         mu, why = _edge_exponent(spec, e, rule, numeric_n)
+        label = "edge %d (theta=%.6g)" % (e.id, e.theta)
+        if rule.first_eigenvalue:
+            req, lo_label = "weight window around the first eigenvalue", label
+        else:
+            req = "s below 2/(%d - mu) when mu < %d" % (rule.order, rule.order)
+            # the upper end of the window does not depend on the exponent
+            lo_label = "edge weight window delta+2/s < %d at zero weights" % rule.order
         if mu is None:
             uncertified_edges = True
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
             rep.notes.append("edge %d: %s; the interval ignores this edge" % (e.id, why))
+            if not rule.first_eigenvalue:
+                constraints.append(([_s_window(_below(rule.order), 0, 2)], lo_label, label))
             continue
-        req, c = _edge_interval(rule, mu, e)
+        if mu.bound is not None and not rule.first_eigenvalue:
+            label = "edge %d via guaranteed bound mu > %s" % (e.id, mu.bound)
         rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, req, True))
-        if c is not None:
-            constraints.append(c)
-    # vertices; a matching class row widens what the per-vertex rules certify
+        constraints.append(([_s_window(_edge_window(rule, mu), 0, 2)], lo_label, label))
     conditional = False
-    findings = vertex_findings(spec)
-    row = _row_fallback(spec, target, None)
-    for v, f in findings.items():
-        c = _vertex_interval(f, rule.order, "vertex %d" % v)
-        if c is not None and row is not None:
-            merged = c[0].union(row.interval)
-            if merged is not None:
-                c = (merged, c[1] + " widened by class result %s" % row.row_id)
-                rep.citations.append("class:%s" % row.row_id)
-        if c is None:
-            if row is not None:
-                constraints.append((row.interval,
-                                    "vertex %d via class result %s" % (v, row.row_id)))
-                rep.citations.append("class:%s" % row.row_id)
-                rep.vertices.append(VertexCheck(v, f.describe(), "class fallback", True,
-                                                "class result %s" % row.row_id))
-            else:
-                conditional = True
-                rep.vertices.append(VertexCheck(v, f.describe(), "-", False,
-                                                "no rule; interval conditional on overrides"))
+    row = _row_fallback(spec, target) if rule.class_fallback else None
+    for v, f in vertex_findings(spec).items():
+        if f.unknown and row is None:
+            conditional = True
+            rep.vertices.append(VertexCheck(v, f.describe(), "-", False,
+                                            "no rule; interval conditional on overrides"))
             continue
-        rep.vertices.append(VertexCheck(v, f.describe(), str(c[0]), True, c[1]))
-        constraints.append(c)
+        iv = _s_window(_level_window(f, True), rule.order, -3)
+        label = "vertex %d (no rule)" % v if f.unknown else "vertex %d strip %s" % (v, f.free)
+        pieces = [iv]
+        if row is not None:
+            merged = iv.union(row.interval)
+            pieces = [merged] if merged is not None else sorted(
+                (p for p in (iv, row.interval) if not p.is_empty()), key=lambda p: p.lo)
+            label += " widened by class result %s" % row.row_id
+            rep.citations.append("class:%s" % row.row_id)
+        rep.vertices.append(VertexCheck(v, f.describe(), " or ".join(map(str, pieces)),
+                                        True, label))
+        constraints.append((pieces, label, label))
+    admissible = []  # only needed, and only computed, when some vertex has two pieces
+    if any(len(pieces) > 1 for pieces, _, _ in constraints):
+        admissible = [_EVERYTHING]
+        for pieces, _, _ in constraints:
+            admissible = [p for p in (a.intersect(q) for a in admissible for q in pieces)
+                          if not p.is_empty()]
+    best = max(admissible, key=lambda p: (p.hi, p.hi_closed), default=None)
+    # name the ends of the reported piece by the constraints that set them
     result = _EVERYTHING
     binding_lo = binding_hi = "none"
-    for interval, label in constraints:
+    for pieces, lo_label, hi_label in constraints:
+        part = pieces[-1] if best is None else next(p for p in pieces if p.contains_interval(best))
         before = result
-        result = result.intersect(interval)
+        result = result.intersect(part)
         if result.hi != before.hi or result.hi_closed != before.hi_closed:
-            binding_hi = label
+            binding_hi = hi_label
         if result.lo != before.lo or result.lo_closed != before.lo_closed:
-            binding_lo = label
+            binding_lo = lo_label
     rep.s_interval = result
     rep.binding = "upper: %s; lower: %s" % (binding_hi, binding_lo)
-    rep.verdict = "unknown" if conditional or uncertified_edges or result.is_empty() else "holds"
+    missing = [name for name, ok in _flags(rule, spec) if not ok]
+    rep.verdict = "unknown" if conditional or uncertified_edges or missing \
+        or result.is_empty() else "holds"
     if conditional:
         rep.notes.append("some vertex strips are uncertified; supply override bounds")
+    rep.notes.extend("s in %s is admissible too, below the reported interval" % p
+                     for p in admissible if p is not best)
+    rep.notes.extend("assumption not asserted: %s" % m for m in missing)
     rep.notes.append(
         "monotone closure: on a bounded domain the conclusion spaces include one "
         "another as s decreases, so the stated conclusions persist below the "
@@ -791,13 +830,6 @@ def decision_table() -> Tuple[DecisionRow, ...]:
 def matching_rows(spec: ProblemSpec, target: Optional[str] = None) -> Tuple[DecisionRow, ...]:
     return tuple(r for r in decision_table()
                  if (target is None or r.target == target) and r.matches(spec))
-
-
-def _row_fallback(spec: ProblemSpec, target: str, s) -> Optional[DecisionRow]:
-    """The matching class row with the widest upper end, containing s if given."""
-    rows = [row for row in matching_rows(spec, target)
-            if s is None or row.interval.contains(s)]
-    return max(rows, key=lambda row: (row.interval.hi, row.interval.hi_closed), default=None)
 
 
 # -- sharpness annotations -----------------------------------------------------------

@@ -133,7 +133,15 @@ _BAD_QUERIES = (
     + [(["--target", t, "--sigma", "1.5"], "sigma in (0, 1)") for t in ("c1", "c2")]
     + [(["--target", t, "--s", "abc"], "abc") for t in ("w1", "w2", "exist")]
     + [(["--target", t, "--s", "5/2", "--sigma", "0.5", "--beta", "1,2"],
-        "one entry per vertex") for t in ("w1", "w2", "c1", "c2", "exist")])
+        "one entry per vertex") for t in ("w1", "w2", "c1", "c2", "exist")]
+    # the interval scan is unweighted: weights without --s are refused
+    + [(["--target", t, "--beta", "1/2"], "--beta/--delta need --s")
+       for t in ("w1", "w2", "exist")]
+    + [(["--delta", "1/4"], "--beta/--delta need --s"),
+       (["--target", "c1", "--target", "w1", "--sigma", "0.5", "--beta", "1/2"],
+        "--beta/--delta need --s"),
+       (["--target", "w1", "--beta", "1,2", "--delta", "abc"], "--delta: 'abc'"),
+       (["--target", "w2", "--s", "1/0"], "--s: '1/0'")])
 
 
 @pytest.mark.parametrize("extra,message", _BAD_QUERIES)

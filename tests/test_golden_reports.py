@@ -89,7 +89,8 @@ def _spec(poly, default=0, overrides=None, flags=FLAGS, **kw):
     return ProblemSpec(poly, fx.with_conditions(poly, default, overrides), flags, **kw)
 
 
-def _library_cases():
+def library_specs():
+    """(specs for every target, specs for the existence target only)."""
     tet = fx.platonic("tetrahedron")
     cube = fx.cube()
     ext = fx.cube(complement=True)
@@ -114,6 +115,11 @@ def _library_cases():
     # no velocity face on some edges: the existence result does not apply (the
     # other targets would need numeric exponents for the slip/stress edges)
     only_exist = {"cube-slip-stress": _spec(cube, 3, {fx.top_face(cube): 2})}
+    return specs, only_exist
+
+
+def _library_cases():
+    specs, only_exist = library_specs()
     queries = {
         "W1-5_2": RegularityQuery("W1", s=F(5, 2)),
         "W1-11_10": RegularityQuery("W1", s=F(11, 10)),

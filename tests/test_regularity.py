@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,12 +8,18 @@ import pytest
 
 from polystokes import fixtures as fx
 from polystokes.edge_pencil import MuValue
+from polystokes.geometry import load_polyhedron
 from polystokes.regularity import (DataFlags, Interval, ProblemSpec,
                                    RegularityQuery, RegularityReport, check,
-                                   decision_table, matching_rows, max_s)
-from polystokes.spaces import Eps
+                                   decision_table, matching_rows, max_s,
+                                   vertex_findings)
+from polystokes.spaces import Eps, as_eps
+from polystokes.vertex_pencil import INF
 
 from conftest import ALL_FLAGS
+from test_golden_reports import library_specs
+
+DOMAINS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "domains")
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +150,8 @@ def test_step_scan_bounds(step_dirichlet):
     w2 = max_s(step_dirichlet, "W2")
     assert float(w2.s_interval.hi) == pytest.approx(2 / (2 - mu), abs=1e-4)
     assert float(w2.s_interval.hi) == pytest.approx(1.3740, abs=1e-4)
+    assert not w2.s_interval.hi_closed
+    assert w2.s_interval.lo == F(1) and not w2.s_interval.lo_closed  # no nonlinear floor
     assert "edge" in w1.binding
 
 
@@ -181,18 +190,127 @@ def test_exterior_cube_generic_vertex_cap():
     assert check(spec, RegularityQuery("W1", s=F(16, 5))).verdict == "fails"
 
 
-def test_scan_matches_point_checks(step_dirichlet, step_slip):
-    rng = np.random.default_rng(3)
-    for spec, target in ((step_dirichlet, "W1"), (step_dirichlet, "W2"),
-                         (step_slip, "W1"), (step_slip, "EXIST")):
-        iv = max_s(spec, target).s_interval
-        lo, hi = float(iv.lo), float(iv.hi)
-        inside = rng.uniform(lo + 1e-3, hi - 1e-3, size=10)
-        above = rng.uniform(hi + 1e-3, hi + 1.0, size=10)
-        for s in inside:
-            assert check(spec, RegularityQuery(target, s=s)).verdict == "holds", (target, s)
-        for s in above:
-            assert check(spec, RegularityQuery(target, s=s)).verdict == "fails", (target, s)
+def _agreement_specs():
+    """Every library spec of the golden reports, the shipped domains under both
+    kinds, the cube with a tangential-velocity top and the step with slip on
+    face 2 (a right-angled wall).  The golden existence-only spec is left out:
+    its other targets take numeric solves."""
+    specs, _ = library_specs()
+    for name in sorted(os.listdir(DOMAINS)):
+        poly, bc, bounds = load_polyhedron(os.path.join(DOMAINS, name))
+        for kind in ("navier-stokes", "stokes"):
+            specs["%s:%s" % (name, kind)] = ProblemSpec(poly, bc, ALL_FLAGS, kind=kind,
+                                                        vertex_bounds=bounds)
+    cube, step = fx.cube(), fx.step_prism()
+    specs["cube-tangential-top"] = ProblemSpec(
+        cube, fx.with_conditions(cube, 0, {fx.top_face(cube): 1}), ALL_FLAGS)
+    specs["step-slip-face-2"] = ProblemSpec(step, fx.with_conditions(step, 0, {2: 2}),
+                                            ALL_FLAGS)
+    return specs
+
+
+def test_scan_matches_point_checks():
+    # for every certified scan, the point check holds exactly on the interval:
+    # at both ends, just inside them and above the upper end
+    cases = [(name, spec, target) for name, spec in _agreement_specs().items()
+             for target in ("W1", "W2", "EXIST")]
+    cases += [(name, spec, "EXIST") for name, spec in library_specs()[1].items()]
+    scans = 0
+    for name, spec, target in cases:
+        try:
+            rep = max_s(spec, target)
+        except ValueError:
+            continue  # the existence result needs a velocity face on every edge
+        if rep.verdict != "holds":
+            continue
+        scans += 1
+        iv = rep.s_interval
+        lo, hi = F(iv.lo), F(iv.hi)
+        probes = [lo, lo + F(1, 1000)]
+        if hi < INF:
+            probes += [hi, hi - F(1, 1000), hi + F(1, 1000), hi + F(1, 2)]
+        for s in probes:
+            if s > 1:
+                verdict = check(spec, RegularityQuery(target, s=s)).verdict
+                assert (verdict == "holds") == iv.contains(s), (name, target, str(iv), s)
+    assert scans >= 40
+
+
+def test_level_window_is_the_strip_condition():
+    # the check decides a vertex by the level window and explains it with
+    # strip_condition_holds: the two must agree at every level
+    from polystokes.regularity import _level_window, _strip_for
+    from polystokes.vertex_pencil import StripFinding, strip_condition_holds
+    findings = {(f.free, f.exceptional) for spec in _agreement_specs().values()
+                for f in vertex_findings(spec).values()}
+    findings = [StripFinding(0, free, exc) for free, exc in findings]
+    findings.append(StripFinding(0, None))
+    assert len(findings) >= 6
+    levels = [F(k, 8) for k in range(-24, 25)] + [Eps(F(k, 2), j) for k in (-2, -1, 0, 2)
+                                                  for j in (-1, 1)]
+    for f in findings:
+        for anchor_closed in (True, False):
+            window = _level_window(f, anchor_closed)
+            for level in levels:
+                target = _strip_for(as_eps(level), anchor_closed)
+                assert window.contains(level) == strip_condition_holds(f, target)[0], \
+                    (f, anchor_closed, level)
+
+
+@pytest.mark.parametrize("kind", ["navier-stokes", "stokes"])
+def test_mixed_second_order_scan_is_the_class_row(step, kind):
+    reentrant = [e for e in step.edges if e.theta > math.pi][0]
+    spec = ProblemSpec(step, fx.with_conditions(step, 0, {reentrant.adjacent_faces[0]: 2}),
+                       ALL_FLAGS, kind=kind)
+    w2 = max_s(spec, "W2")
+    assert w2.verdict == "holds"
+    assert w2.s_interval == Interval(F(1), F(8, 7), False, True)
+
+
+def test_mixed_stress_domain_second_order_scan():
+    poly, bc, bounds = load_polyhedron(os.path.join(DOMAINS, "cube-mixed-stress.domain"))
+    w2 = max_s(ProblemSpec(poly, bc, ALL_FLAGS, vertex_bounds=bounds), "W2")
+    assert w2.verdict == "holds"
+    assert w2.s_interval == Interval(F(1), F(8, 7), False, True)
+
+
+def test_tangential_velocity_top_holds_at_the_closed_end(cube):
+    spec = ProblemSpec(cube, fx.with_conditions(cube, 0, {fx.top_face(cube): 1}), ALL_FLAGS)
+    assert max_s(spec, "W2").s_interval == Interval(F(1), F(3, 2), False, True)
+    assert check(spec, RegularityQuery("W2", s=F(3, 2))).verdict == "holds"
+
+
+def test_scans_echo_missing_flags_only(cube):
+    spec = ProblemSpec(cube, fx.with_conditions(cube, 0), DataFlags())
+    for target in ("W1", "W2", "EXIST"):
+        scan = max_s(spec, target)
+        point = check(spec, RegularityQuery(target, s=F(5, 2)))
+        assert scan.verdict == "unknown"
+        missing = [n for n in point.notes if n.startswith("assumption not asserted: ")]
+        assert missing and [n for n in scan.notes if n in missing] == missing
+    asserted = ProblemSpec(cube, fx.with_conditions(cube, 0), ALL_FLAGS)
+    for target in ("W1", "W2", "EXIST"):
+        scan = max_s(asserted, target)
+        assert not scan.assumptions
+        assert not any("assumption" in n for n in scan.notes)
+
+
+def test_right_angled_slip_wall_admits_two_pieces(step):
+    spec = ProblemSpec(step, fx.with_conditions(step, 0, {2: 2}), ALL_FLAGS)
+
+    def holds(s):
+        return check(spec, RegularityQuery("W2", s=s)).verdict == "holds"
+
+    # the class row (1, 8/7] below, the vertex strips from 6/5 (where the
+    # level 2 - 3/s reaches -1/2) up to the reentrant edge
+    assert holds(F(11, 10)) and holds(F(8, 7)) and holds(F(6, 5)) and holds(F(137, 100))
+    assert not holds(F(7, 6)) and not holds(F(138, 100))
+    w2 = max_s(spec, "W2")
+    assert w2.verdict == "holds"
+    iv = w2.s_interval
+    assert iv.lo == F(6, 5) and iv.lo_closed and not iv.hi_closed
+    assert float(iv.hi) == pytest.approx(1.37408, abs=1e-5)
+    assert "s in (1, 8/7] is admissible too, below the reported interval" in w2.notes
 
 
 def test_verdict_monotone_in_mu(step_dirichlet, monkeypatch):
@@ -241,6 +359,8 @@ def test_uncertified_edge_exponent_gives_unknown(cube, monkeypatch, tmp_path, ca
     scan = max_s(spec, "W1")
     assert scan.verdict == "unknown"
     assert sum("ignores this edge" in n for n in scan.notes) == len(cube.edges)
+    # delta + 2/s < 1 needs no exponent: the lower end s > 2 stays
+    assert scan.s_interval.lo == F(2) and not scan.s_interval.lo_closed
     path = tmp_path / "slip.domain"
     path.write_text(fx.domain_document(cube, bc, bounds))
     assert main(["analyze", "--input", str(path), "--format", "json"]) == 0
