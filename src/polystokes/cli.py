@@ -277,8 +277,8 @@ def _cmd_analyze(args) -> int:
             beta, delta = _parse_weights("--beta", args.beta), _parse_weights("--delta", args.delta)
             if holder or args.s is not None:
                 s = None if holder else _parse_number("--s", args.s)
-                query = RegularityQuery(target, s=s, sigma=args.sigma if holder else None,
-                                        beta=beta, delta=delta)
+                sigma = _parse_number("--sigma", args.sigma) if holder else None
+                query = RegularityQuery(target, s=s, sigma=sigma, beta=beta, delta=delta)
                 query.betas(len(poly.vertices))  # one weight per vertex, or one for all
                 query.deltas(len(poly.edges))
             elif args.beta is not None or args.delta is not None:
@@ -295,7 +295,7 @@ def _cmd_analyze(args) -> int:
             warnings.append("existence check not applicable: %s" % exc)
             continue
         reports[t] = rep
-    from .regularity import matching_rows
+    from .regularity import matching_rows  # looked up per call, so a traced wrapper sees it
     rows = matching_rows(spec)
     if args.format == "json":
         payload = {k: r.to_dict() for k, r in reports.items()}
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--target", action="append",
                     help="w1, w2, c1, c2 or exist; may repeat (default: w1 w2 exist)")
     pa.add_argument("--s", help="integrability exponent for a point check (e.g. 5/2)")
-    pa.add_argument("--sigma", type=float, help="Holder exponent for c1/c2")
+    pa.add_argument("--sigma", help="Holder exponent for c1/c2 (e.g. 1/4)")
     pa.add_argument("--beta", help="vertex weights, comma separated or one value")
     pa.add_argument("--delta", help="edge weights, comma separated or one value")
     pa.add_argument("--kind", default="navier-stokes",
@@ -353,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of asserted data assumptions: data, "
                          "compatibility, small-data, lipschitz")
     pa.add_argument("--n", type=int, default=32, help="collocation size")
-    pa.add_argument("--tol", type=float, default=1e-9, help="mesh validation tolerance")
+    pa.add_argument("--tol", type=float, default=1e-9,
+                    help="mesh validation tolerance; an edge opening this close to a multiple "
+                         "of pi/24, the 2/3-threshold angle or its half snaps to it")
     pa.add_argument("--format", default="text", choices=("text", "json"))
     pa.set_defaults(func=_cmd_analyze)
 

@@ -10,7 +10,7 @@ Two routes to the eigenvalues are provided and cross-checked:
 
 * the transcendental equation sin(l*t)*(l^2 sin^2 t - sin^2(l*t)) = 0 for the
   velocity-on-both-sides and stress-on-both-sides pairs, with the real root
-  selection rules (pi/theta below pi, the smallest root of
+  selection rules (pi/theta up to pi, the smallest root of
   sin(m*t) + m*sin(t) = 0 above);
 * a Chebyshev collocation of the ODE system, linearized to a generalized
   eigenproblem of doubled size and filtered by refinement stability plus a
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import eig, svdvals
 from scipy.optimize import brentq
 
-from .geometry import BoundaryAssignment, Edge, Polyhedron
+from .geometry import MU_THRESHOLD_TWO_THIRDS, BoundaryAssignment, Edge, Polyhedron
 
 __all__ = [
     "DihedronPencil",
@@ -43,13 +43,10 @@ __all__ = [
     "mu_of_edge_point",
     "mu_k",
     "mu_lower_bound",
+    "class_bound",
     "lambda1_of_edge",
     "MU_THRESHOLD_TWO_THIRDS",
 ]
-
-# opening angle below which the velocity-pair exponent exceeds 2/3:
-# three times the angle whose cosine is 1/4 (about 1.2587*pi)
-MU_THRESHOLD_TWO_THIRDS = 3.0 * math.acos(0.25)
 
 
 class WindowError(RuntimeError):
@@ -131,14 +128,12 @@ def dd_nn_residual(lam: complex, theta: float) -> complex:
 
 
 def mu_real_root(theta: float, xtol: float = 1e-14) -> float:
-    """Edge exponent for the (0,0)/(3,3) pairs: pi/theta below pi, otherwise
+    """Edge exponent for the (0,0)/(3,3) pairs: pi/theta up to pi, otherwise
     the smallest positive root of sin(m*theta) + m*sin(theta) = 0.
     """
     if not 0.0 < theta < 2.0 * math.pi:
         raise ValueError("theta must lie in (0, 2*pi)")
-    if abs(theta - math.pi) <= 1e-12:
-        return 1.0  # half-space limit
-    if theta < math.pi:
+    if theta <= math.pi:
         return math.pi / theta
 
     def f(m):
@@ -373,7 +368,7 @@ def _pair_parity(d_plus: int, d_minus: int) -> Tuple[bool, int]:
 
 def _takes_second_eigenvalue(theta: float, d_plus: int, d_minus: int) -> bool:
     even, m = _pair_parity(d_plus, d_minus)
-    return even and theta < math.pi / m - 1e-12
+    return even and theta < math.pi / m
 
 
 def mu_of_edge_point(theta: float, d_plus: int, d_minus: int, spectrum: Spectrum,
@@ -410,12 +405,6 @@ def mu_of_edge_point(theta: float, d_plus: int, d_minus: int, spectrum: Spectrum
     return MuValue(lam1, "numeric", "lambda1")
 
 
-def _closed_form_mu(theta: float) -> MuValue:
-    value = mu_real_root(theta)
-    role = "lambda2" if theta < math.pi - 1e-12 else "lambda1"
-    return MuValue(value, "closed-form", role)
-
-
 def mu_numeric(theta: float, d_plus: int, d_minus: int, n: int = 32) -> MuValue:
     """Edge exponent via the collocation solver, widening the strip as needed."""
     hi = max(2.4, math.pi / theta + 0.8)
@@ -431,7 +420,8 @@ def mu_numeric(theta: float, d_plus: int, d_minus: int, n: int = 32) -> MuValue:
 # The guaranteed class bounds, largest first within each pair: the first row
 # whose pair and opening condition match gives the bound.  The first column
 # names the quantity bounded, the edge exponent mu or the real part of the
-# first eigenvalue lambda1; a row may bound both.
+# first eigenvalue lambda1; a row may bound both.  Mesh openings come snapped to
+# the thresholds (geometry), so every comparison is exact.
 _CLASS_BOUNDS = (
     (("mu",), ((0, 0), (3, 3)), lambda t: t < 0.75 * math.pi, Fraction(4, 3),
      "opening below 3*pi/4"),
@@ -449,14 +439,16 @@ _CLASS_BOUNDS = (
     (("mu",), ((0, 1), (0, 2)), lambda t: t < 1.5 * math.pi, Fraction(1, 3),
      "condition change, opening below 3*pi/2"),
     (("mu",), ((0, 1), (0, 2)), lambda t: True, Fraction(1, 4), "condition changes across the edge"),
-    (("lambda1",), ((0, 1), (0, 2)), lambda t: t <= 1.5 * math.pi + 1e-12, Fraction(1, 3),
+    (("lambda1",), ((0, 1), (0, 2)), lambda t: t <= 1.5 * math.pi, Fraction(1, 3),
      "changed-condition edge with opening at most 3*pi/2"),
     (("mu", "lambda1"), ((0, 3),), lambda t: True, Fraction(1, 4),
      "velocity against stress across the edge"),
 )
 
 
-def _class_bound(quantity: str, d_plus: int, d_minus: int, theta: float) -> Optional[MuValue]:
+def class_bound(quantity: str, d_plus: int, d_minus: int, theta: float) -> Optional[MuValue]:
+    """The first bound on ``quantity`` ('mu' or 'lambda1') that the table
+    gives for the pair at this opening, or None."""
     pair = tuple(sorted((d_plus, d_minus)))
     for quantities, pairs, applies, bound, note in _CLASS_BOUNDS:
         if quantity in quantities and pair in pairs and applies(theta):
@@ -471,12 +463,12 @@ def mu_lower_bound(d_plus: int, d_minus: int, theta: float) -> Optional[MuValue]
     is the fallback there.  The equal-condition pairs have exact values but
     still carry the generic bound for table use.
     """
-    return _class_bound("mu", d_plus, d_minus, theta)
+    return class_bound("mu", d_plus, d_minus, theta)
 
 
-def mu_k(poly: Polyhedron, bc: BoundaryAssignment, edge: Edge,
-         method: str = "auto", n: int = 32) -> MuValue:
-    """Edge exponent of a mesh edge (constant along straight edges).
+def mu_k(poly: Polyhedron, bc: BoundaryAssignment, edge: Edge, n: int = 32) -> MuValue:
+    """Edge exponent of a mesh edge (constant along straight edges): the
+    closed form for the equal-condition pairs, the collocation solver otherwise.
 
     The infimum over the edge collapses to a single evaluation because the
     opening angle is constant; the API keeps the edge-level entry point so
@@ -484,13 +476,9 @@ def mu_k(poly: Polyhedron, bc: BoundaryAssignment, edge: Edge,
     """
     d_plus, d_minus = bc.pair(edge)
     theta = poly.dihedral_angle(edge)
-    pair = tuple(sorted((d_plus, d_minus)))
-    if method not in ("auto", "closed-form", "numeric"):
-        raise ValueError("method must be auto, closed-form or numeric")
-    if pair in ((0, 0), (3, 3)) and method != "numeric":
-        return _closed_form_mu(theta)
-    if method == "closed-form":
-        raise ValueError("no closed form for the pair %r" % (pair,))
+    if tuple(sorted((d_plus, d_minus))) in ((0, 0), (3, 3)):
+        role = "lambda2" if theta < math.pi else "lambda1"
+        return MuValue(mu_real_root(theta), "closed-form", role)
     return mu_numeric(theta, d_plus, d_minus, n=n)
 
 
@@ -505,10 +493,10 @@ def lambda1_of_edge(d_plus: int, d_minus: int, theta: float, n: int = 32) -> MuV
     """
     pair = tuple(sorted((d_plus, d_minus)))
     if pair == (0, 0):
-        if theta <= math.pi + 1e-12:
+        if theta <= math.pi:
             return MuValue(1.0, "closed-form", "lambda1")
         return MuValue(mu_real_root(theta), "closed-form", "lambda1")
-    bound = _class_bound("lambda1", d_plus, d_minus, theta)
+    bound = class_bound("lambda1", d_plus, d_minus, theta)
     if bound is not None:
         return bound
     spec = solve_spectrum(DihedronPencil(theta, d_plus, d_minus), (0.0, 1.8), n=n)

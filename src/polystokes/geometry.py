@@ -6,7 +6,9 @@ either the interior of the solid or, with ``complement=True``, its exterior;
 in the latter case every edge angle is 2*pi minus the solid's interior
 dihedral angle and no further mesh data is needed.
 
-Angles are always reported as measured inside the fluid.
+Angles are always reported as measured inside the fluid.  An opening within
+``tol`` of a special opening is stored as exactly that float, so threshold
+comparisons downstream are exact and no rigid motion moves one across.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import yaml
 from scipy.optimize import linprog
 
 __all__ = [
+    "MU_THRESHOLD_TWO_THIRDS",
     "MeshError",
     "DomainFileError",
     "BC_INDEX",
@@ -53,6 +56,15 @@ BC_NAMES = {v: k for k, v in BC_INDEX.items()}
 
 # margin below which a direction counts as lying on a supporting plane
 _SUPPORT_TOL = 1e-9
+
+# opening angle below which the velocity-pair exponent exceeds 2/3:
+# three times the angle whose cosine is 1/4 (about 1.2587*pi)
+MU_THRESHOLD_TWO_THIRDS = 3.0 * math.acos(0.25)
+
+# the openings an edge angle snaps to; every threshold of the exponent rules
+# is one of them (pi/2 is 12 / 24 * pi to the last bit)
+_SPECIAL_OPENINGS = tuple(k / 24 * math.pi for k in range(1, 48)) + (
+    MU_THRESHOLD_TWO_THIRDS, 0.5 * MU_THRESHOLD_TWO_THIRDS)
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,8 @@ class Polyhedron:
     faces : vertex-index loops, counterclockwise seen from outside the solid.
     complement : if True the fluid fills the exterior of the solid.
     name : optional label.
-    tol : relative tolerance for planarity/degeneracy checks.
+    tol : relative tolerance for planarity/degeneracy checks, and the angle
+        tolerance within which an opening snaps to a special opening.
     """
 
     def __init__(self, vertices, faces, complement: bool = False,
@@ -231,6 +244,9 @@ class Polyhedron:
             k_minus = directed[(b, a)][0]
             theta_solid = self._solid_dihedral(a, b, k_plus, k_minus)
             theta = 2 * math.pi - theta_solid if self.complement else theta_solid
+            special = min(_SPECIAL_OPENINGS, key=lambda t: abs(t - theta))
+            if abs(special - theta) <= self.tol:
+                theta = special
             edges.append(Edge(len(edges), (a, b), (k_plus, k_minus), theta))
         return tuple(edges)
 
@@ -280,7 +296,7 @@ class Polyhedron:
         """
         if self.complement:
             return False
-        return all(e.theta < math.pi - 1e-12 for e in self.edges)
+        return all(e.theta < math.pi for e in self.edges)
 
     def incident_faces(self, vertex: int) -> Tuple[int, ...]:
         return tuple(k for k, loop in enumerate(self.faces) if vertex in loop)
@@ -428,12 +444,8 @@ def loads_polyhedron(text: str, tol: float = 1e-9):
                                   % (k, f["bc"], _BC_HELP))
         loops.append(f["loop"])
         ds.append(BC_INDEX[f["bc"]])
-    try:
-        poly = Polyhedron(vertices, loops,
-                          complement=bool(doc.get("complement", False)),
-                          name=doc.get("name"), tol=tol)
-    except MeshError:
-        raise
+    poly = Polyhedron(vertices, loops, complement=bool(doc.get("complement", False)),
+                      name=doc.get("name"), tol=tol)
     bounds: Dict[int, VertexBound] = {}
     raw = doc.get("vertex_bounds") or {}
     if not isinstance(raw, dict):

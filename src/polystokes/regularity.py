@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .edge_pencil import MuValue, WindowError, lambda1_of_edge, mu_k, mu_lower_bound
+from .edge_pencil import MuValue, WindowError, class_bound, lambda1_of_edge, mu_k
 from .geometry import (BoundaryAssignment, Edge, Polyhedron, VertexBound,
                        graph_direction_feasible)
 from .spaces import Eps, as_eps
@@ -198,8 +198,7 @@ def _slip_class(spec: ProblemSpec) -> bool:
     if not spec.poly.is_convex():
         return False
     k = slip_faces[0]
-    return all(e.theta < 0.5 * math.pi - 1e-12
-               for e in spec.poly.edges if k in e.adjacent_faces)
+    return all(e.theta < 0.5 * math.pi for e in spec.poly.edges if k in e.adjacent_faces)
 
 
 def vertex_findings(spec: ProblemSpec) -> Dict[int, StripFinding]:
@@ -233,13 +232,11 @@ def _edge_mu(spec: ProblemSpec, edge: Edge, numeric_n: int = 32) -> MuValue:
     from the bounds.
     """
     d_plus, d_minus = spec.bc.pair(edge)
-    pair = tuple(sorted((d_plus, d_minus)))
-    if pair in ((0, 0), (3, 3)):
-        return mu_k(spec.poly, spec.bc, edge)
-    bound = mu_lower_bound(d_plus, d_minus, edge.theta)
-    if bound is not None:
-        return bound
-    return mu_k(spec.poly, spec.bc, edge, method="numeric", n=numeric_n)
+    if tuple(sorted((d_plus, d_minus))) not in ((0, 0), (3, 3)):
+        bound = class_bound("mu", d_plus, d_minus, edge.theta)
+        if bound is not None:
+            return bound
+    return mu_k(spec.poly, spec.bc, edge, n=numeric_n)
 
 
 def _edge_exponent(spec: ProblemSpec, edge: Edge, rule: _Rule,
@@ -684,7 +681,7 @@ def _bounds_reach(spec: ProblemSpec, bound: Fraction, edges=None) -> bool:
     """Every edge (of ``edges``, if given) has a guaranteed exponent bound of
     at least ``bound`` in the class-bound table."""
     for e in spec.poly.edges if edges is None else edges:
-        mu = mu_lower_bound(*spec.bc.pair(e), e.theta)
+        mu = class_bound("mu", *spec.bc.pair(e), e.theta)
         if mu is None or mu.bound < bound:
             return False
     return True
@@ -820,7 +817,8 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             "changed edges opening at most 3*pi/2",
             Interval(F(3, 2), F(3), False, False),
             lambda sp: _all_d(sp, 0, 1, 2) and _dirichlet_adjacent(sp) and all(
-                e.theta <= 1.5 * math.pi + 1e-12 for e in _changed_edges(sp)),
+                class_bound("lambda1", *sp.bc.pair(e), e.theta) is not None
+                for e in _changed_edges(sp)),
             "first edge eigenvalues are bounded below by 1/3 with equality "
             "approachable at opening 3*pi/2: strict window 3/2 < s < 3"),
     ]

@@ -141,7 +141,9 @@ _BAD_QUERIES = (
        (["--target", "c1", "--target", "w1", "--sigma", "0.5", "--beta", "1/2"],
         "--beta/--delta need --s"),
        (["--target", "w1", "--beta", "1,2", "--delta", "abc"], "--delta: 'abc'"),
-       (["--target", "w2", "--s", "1/0"], "--s: '1/0'")])
+       (["--target", "w2", "--s", "1/0"], "--s: '1/0'"),
+       (["--target", "c1", "--sigma", "abc"], "--sigma: 'abc'"),
+       (["--target", "c2", "--sigma", "1/0"], "--sigma: '1/0'")])
 
 
 @pytest.mark.parametrize("extra,message", _BAD_QUERIES)
@@ -150,6 +152,16 @@ def test_analyze_bad_query_is_input_error(cube_file, capsys, extra, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("input error: ") and message in err
+
+
+def test_analyze_sigma_is_exact_rational(cube_file, capsys):
+    # --sigma 1/4 is the rational 1/4, so delta = 1/4 is the resonance delta = sigma
+    assert main(["analyze", "--input", cube_file, "--target", "c1", "--sigma", "1/4",
+                 "--delta", "1/4", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)["c1"]
+    assert rep["verdict"] == "fails" and rep["sigma"] == 0.25
+    assert {e["requirement"] for e in rep["edges"]} == {
+        "delta equals an excluded resonance value"}
 
 
 def test_analyze_exist_without_velocity_edge_warns(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import glob
+import json
 import math
+import os
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -6,7 +10,10 @@ import pytest
 from polystokes import fixtures as fx
 from polystokes.geometry import (BC_INDEX, MeshError, DomainFileError, Polyhedron,
                                  load_polyhedron, loads_polyhedron)
-from polystokes.regularity import ProblemSpec, max_s
+from polystokes.regularity import ProblemSpec, RegularityQuery, check, max_s
+
+DOMAINS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "domains", "*.domain")))
 
 
 def rotation(rng):
@@ -195,6 +202,59 @@ def test_cone_predicate_invariant_under_rotation(step):
         assert got == base
         rep = max_s(ProblemSpec(moved, fx.with_conditions(moved, 0)), "W1")
         assert str(rep.s_interval) == "(2, 4.39062)"
+    # every report of every shipped domain is byte-identical under rotation:
+    # openings at pi/2 and 3*pi/2 snap back onto their thresholds
+    queries = (RegularityQuery("W1", s=F(5, 2)), RegularityQuery("W2", s=F(11, 10)),
+               RegularityQuery("W2", s=F(3, 2), beta=F(1, 2), delta=F(-1, 5)),
+               RegularityQuery("EXIST", s=F(5, 2), beta=F(1, 4)),
+               RegularityQuery("C2", sigma=F(1, 4), delta=F(1, 4)))
+
+    def reports(poly, bc, bounds, kind):
+        spec = ProblemSpec(poly, bc, kind=kind, vertex_bounds=bounds)
+        reps = [max_s(spec, t) for t in ("W1", "W2", "EXIST")]
+        reps += [check(spec, q) for q in queries]
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in reps]
+
+    assert DOMAINS
+    for path in DOMAINS:
+        poly, bc, bounds = load_polyhedron(path)
+        for kind in ("navier-stokes", "stokes"):
+            base = reports(poly, bc, bounds, kind)
+            for _ in range(10):
+                moved = Polyhedron(poly.vertices @ rotation(rng).T, poly.faces,
+                                   complement=poly.complement)
+                assert reports(moved, bc, bounds, kind) == base, (path, kind)
+
+
+def test_slip_top_verdict_pinned_under_rotation(cube):
+    # the slip edges open at exactly pi/2, where the class bound drops from 1
+    # to 2/3; a rotation must not move them below the threshold
+    bc = fx.with_conditions(cube, 0, {fx.top_face(cube): 2})
+    delta = [F(0)] * len(cube.edges)
+    delta[6] = F(-1, 5)  # edge 6 lies on the slip face
+    query = RegularityQuery("W2", s=F(3, 2), beta=F(1, 2), delta=tuple(delta))
+    assert check(ProblemSpec(cube, bc), query).verdict == "fails"
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        moved = Polyhedron(cube.vertices @ rotation(rng).T, cube.faces)
+        assert check(ProblemSpec(moved, bc), query).verdict == "fails"
+
+
+def wedge_prism(theta, **kw):
+    """Unit-height prism over the triangle (0, 0), (1, 0), (cos, sin theta);
+    edge 0 runs along the z-axis and opens at theta."""
+    tri = [[0, 0], [1, 0], [math.cos(theta), math.sin(theta)]]
+    verts = [p + [0.0] for p in tri] + [p + [1.0] for p in tri]
+    faces = [(0, 3, 5, 2), (0, 2, 1), (0, 1, 4, 3), (1, 2, 5, 4), (3, 4, 5)]
+    return Polyhedron(verts, faces, **kw)
+
+
+def test_opening_snaps_within_tol():
+    theta = 0.5 * math.pi + 1e-10
+    assert wedge_prism(theta).edges[0].theta == 0.5 * math.pi
+    kept = wedge_prism(theta, tol=1e-12).edges[0].theta
+    assert kept != 0.5 * math.pi and kept == pytest.approx(theta, abs=1e-14)
+    assert wedge_prism(theta, complement=True).edges[0].theta == 1.5 * math.pi
 
 
 def test_vertex_needs_three_faces():
