@@ -11,8 +11,8 @@ from .geometry import (BC_INDEX, BC_NAMES, BoundaryAssignment, DomainFileError,
                        Edge, MeshError, Polyhedron, VertexBound, VertexCone,
                        load_polyhedron, loads_polyhedron)
 from .edge_pencil import (DihedronPencil, MuValue, Spectrum, WindowError,
-                          assemble_pencil, dd_nn_residual, lambda1_of_edge,
-                          mu_k, mu_lower_bound, mu_of_edge_point, mu_real_root,
+                          assemble_pencil, class_bound, dd_nn_residual,
+                          edge_exponent, mu_of_edge_point, mu_real_root,
                           solve_spectrum, MU_THRESHOLD_TWO_THIRDS)
 from .vertex_pencil import (StripFinding, eigenfree_strip, known_exceptional,
                             strip_condition_holds)
@@ -31,8 +31,8 @@ __all__ = [
     "MeshError", "Polyhedron", "VertexBound", "VertexCone", "load_polyhedron",
     "loads_polyhedron",
     "DihedronPencil", "MuValue", "Spectrum", "WindowError", "assemble_pencil",
-    "dd_nn_residual", "lambda1_of_edge", "mu_k", "mu_lower_bound",
-    "mu_of_edge_point", "mu_real_root", "solve_spectrum",
+    "class_bound", "dd_nn_residual", "edge_exponent", "mu_of_edge_point",
+    "mu_real_root", "solve_spectrum",
     "MU_THRESHOLD_TWO_THIRDS",
     "StripFinding", "eigenfree_strip", "known_exceptional", "strip_condition_holds",
     "EmbeddingJudgment", "Eps", "SpaceDescriptor", "embeds", "holder_embeds",

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from . import fixtures
-from .edge_pencil import (DihedronPencil, MU_THRESHOLD_TWO_THIRDS, mu_numeric,
-                          mu_real_root, pencil_residual, solve_spectrum)
+from .edge_pencil import (DihedronPencil, MU_THRESHOLD_TWO_THIRDS, edge_exponent,
+                          mu_numeric, mu_real_root, pencil_residual, solve_spectrum)
 from .geometry import DomainFileError, MeshError, load_polyhedron
 from .regularity import (TARGETS, DataFlags, Interval, ProblemSpec, RegularityQuery,
                          check, decision_table, max_s)
@@ -61,8 +61,7 @@ class FixtureRow:
 def _platonic_mu(name: str):
     poly = fixtures.platonic(name, complement=True)
     bc = fixtures.with_conditions(poly, 0)
-    from .edge_pencil import mu_k
-    return min(mu_k(poly, bc, e).value for e in poly.edges)
+    return min(edge_exponent("mu", *bc.pair(e), e.theta).value for e in poly.edges)
 
 
 def _platonic_sin(name: str) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import eig, svdvals
 from scipy.optimize import brentq
 
-from .geometry import MU_THRESHOLD_TWO_THIRDS, BoundaryAssignment, Edge, Polyhedron
+from .geometry import MU_THRESHOLD_TWO_THIRDS
 
 __all__ = [
     "DihedronPencil",
@@ -41,12 +41,17 @@ __all__ = [
     "assemble_pencil",
     "solve_spectrum",
     "mu_of_edge_point",
-    "mu_k",
-    "mu_lower_bound",
     "class_bound",
-    "lambda1_of_edge",
+    "edge_exponent",
     "MU_THRESHOLD_TWO_THIRDS",
 ]
+
+
+_ROOT_XTOL = 1e-14  # bracketing tolerance of the real-root closed form
+_STAB_TOL = 1e-6    # a kept eigenvalue reproduces under n -> 2n within this
+_RES_TOL = 1e-8     # and its normalized pencil residual stays below this
+_RE_MIN = 1e-3      # real parts up to this belong to the zero eigenvalue
+_CERT_TOL = 1e-6    # eigenvalues this close to the line Re = 1 sit on it
 
 
 class WindowError(RuntimeError):
@@ -127,7 +132,7 @@ def dd_nn_residual(lam: complex, theta: float) -> complex:
                                   - np.sin(lam * theta) ** 2)
 
 
-def mu_real_root(theta: float, xtol: float = 1e-14) -> float:
+def mu_real_root(theta: float) -> float:
     """Edge exponent for the (0,0)/(3,3) pairs: pi/theta up to pi, otherwise
     the smallest positive root of sin(m*theta) + m*sin(theta) = 0.
     """
@@ -146,7 +151,7 @@ def mu_real_root(theta: float, xtol: float = 1e-14) -> float:
         b = min(a + step, 1.0)
         fb = f(b)
         if fa * fb <= 0.0:
-            return brentq(f, a, b, xtol=xtol)
+            return brentq(f, a, b, xtol=_ROOT_XTOL)
         a, fa = b, fb
     raise BracketingError("no root of the edge equation in (0, 1) for theta=%r" % theta)
 
@@ -318,13 +323,12 @@ def _raw_eigenvalues(p: DihedronPencil, n: int) -> np.ndarray:
 
 
 def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
-                   n: int = 32, stab_tol: float = 1e-6,
-                   res_tol: float = 1e-8) -> Spectrum:
+                   n: int = 32) -> Spectrum:
     """Eigenvalues of the pencil in a strip re_lo <= Re <= re_hi.
 
     The quadratic pencil is linearized to a generalized eigenproblem of
     doubled size; reported eigenvalues must reproduce under n -> 2n within
-    ``stab_tol`` and have normalized residual below ``res_tol``.
+    ``_STAB_TOL`` and have normalized residual below ``_RES_TOL``.
     """
     re_lo, re_hi = window
     if not re_lo < re_hi or not np.isfinite(re_lo) or not np.isfinite(re_hi):
@@ -338,17 +342,17 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     for lam in sel:
         dist = np.abs(coarse - lam).min() if len(coarse) else np.inf
         res = pencil_residual(p, complex(lam), 2 * n)
-        if dist <= stab_tol and res <= res_tol:
+        if dist <= _STAB_TOL and res <= _RES_TOL:
             kept.append(complex(lam))
             worst = max(worst, res)
-        elif res <= res_tol:
+        elif res <= _RES_TOL:
             unresolved.append(complex(lam))
     # cluster multiple copies of the same eigenvalue
     kept.sort(key=lambda z: (z.real, z.imag))
     values: List[complex] = []
     counts: List[int] = []
     for lam in kept:
-        if values and abs(lam - values[-1]) <= 10 * stab_tol:
+        if values and abs(lam - values[-1]) <= 10 * _STAB_TOL:
             counts[-1] += 1
         else:
             values.append(lam)
@@ -372,27 +376,29 @@ def _takes_second_eigenvalue(theta: float, d_plus: int, d_minus: int) -> bool:
 
 
 def mu_of_edge_point(theta: float, d_plus: int, d_minus: int, spectrum: Spectrum,
-                     re_min: float = 1e-3, cert_tol: float = 1e-6) -> MuValue:
-    """Select the edge exponent from a computed spectrum by the parity rule.
+                     quantity: str = "mu") -> MuValue:
+    """Select the edge ``quantity`` ('mu' or 'lambda1', as in
+    :func:`class_bound`) from a computed spectrum.
 
     Needs the window to certify the first eigenvalue (smallest positive real
-    part) and, on the second-eigenvalue branch, the smallest real part above
-    one.  Eigenvalues on the line Re = 1 other than 1 itself make the
-    selection ambiguous and raise :class:`WindowError`.
+    part).  The exponent mu follows the parity rule, which on its
+    second-eigenvalue branch also needs the smallest real part above one;
+    eigenvalues on the line Re = 1 other than 1 itself make that selection
+    ambiguous and raise :class:`WindowError`.
     """
     if spectrum.window[0] > 0.0:
         raise WindowError("window must start at or below 0 to certify the first eigenvalue")
-    res = [ev.real for ev in spectrum.eigenvalues if ev.real > re_min]
+    res = [ev.real for ev in spectrum.eigenvalues if ev.real > _RE_MIN]
     if not res:
         raise WindowError("no eigenvalue with positive real part in the window; widen it")
     lam1 = min(res)
-    if _takes_second_eigenvalue(theta, d_plus, d_minus):
+    if quantity == "mu" and _takes_second_eigenvalue(theta, d_plus, d_minus):
         near_one = [ev for ev in spectrum.eigenvalues
-                    if abs(ev.real - 1.0) <= cert_tol and abs(ev - 1.0) > cert_tol]
+                    if abs(ev.real - 1.0) <= _CERT_TOL and abs(ev - 1.0) > _CERT_TOL]
         if near_one:
             raise WindowError("eigenvalue with real part 1 other than 1 itself; "
                               "cannot certify the second-eigenvalue selection")
-        above = [re for re in res if re > 1.0 + cert_tol]
+        above = [re for re in res if re > 1.0 + _CERT_TOL]
         if not above:
             raise WindowError("window contains no eigenvalue with real part above 1; widen it")
         # certified only when strictly inside the window
@@ -405,13 +411,14 @@ def mu_of_edge_point(theta: float, d_plus: int, d_minus: int, spectrum: Spectrum
     return MuValue(lam1, "numeric", "lambda1")
 
 
-def mu_numeric(theta: float, d_plus: int, d_minus: int, n: int = 32) -> MuValue:
-    """Edge exponent via the collocation solver, widening the strip as needed."""
+def mu_numeric(theta: float, d_plus: int, d_minus: int, n: int = 32,
+               quantity: str = "mu") -> MuValue:
+    """Edge ``quantity`` via the collocation solver, widening the strip as needed."""
     hi = max(2.4, math.pi / theta + 0.8)
     for _ in range(4):
         spec = solve_spectrum(DihedronPencil(theta, d_plus, d_minus), (0.0, hi), n=n)
         try:
-            return mu_of_edge_point(theta, d_plus, d_minus, spec)
+            return mu_of_edge_point(theta, d_plus, d_minus, spec, quantity)
         except WindowError:
             hi *= 1.6
     raise WindowError("could not certify the edge exponent up to Re = %.2f" % hi)
@@ -456,51 +463,28 @@ def class_bound(quantity: str, d_plus: int, d_minus: int, theta: float) -> Optio
     return None
 
 
-def mu_lower_bound(d_plus: int, d_minus: int, theta: float) -> Optional[MuValue]:
-    """Guaranteed lower bound for the edge exponent of a mixed pair, if known.
+def edge_exponent(quantity: str, d_plus: int, d_minus: int, theta: float,
+                  n: int = 32) -> MuValue:
+    """The edge's ``quantity``: the exponent mu ('mu') or the real part of the
+    first pencil eigenvalue ('lambda1'), constant along a straight edge.
 
-    Returns None when no bound is available for the pair; the numeric solver
-    is the fallback there.  The equal-condition pairs have exact values but
-    still carry the generic bound for table use.
+    The one place that picks the route: the closed form for the velocity pair
+    (both quantities) and the stress pair (mu), else the first class bound
+    of the table, else the collocation solver.  Bounds are deliberately not
+    refined numerically: point checks and the interval scan must agree, and
+    the scan's exact rational endpoints come from the bounds.
     """
-    return class_bound("mu", d_plus, d_minus, theta)
-
-
-def mu_k(poly: Polyhedron, bc: BoundaryAssignment, edge: Edge, n: int = 32) -> MuValue:
-    """Edge exponent of a mesh edge (constant along straight edges): the
-    closed form for the equal-condition pairs, the collocation solver otherwise.
-
-    The infimum over the edge collapses to a single evaluation because the
-    opening angle is constant; the API keeps the edge-level entry point so
-    curved generalizations stay possible.
-    """
-    d_plus, d_minus = bc.pair(edge)
-    theta = poly.dihedral_angle(edge)
-    if tuple(sorted((d_plus, d_minus))) in ((0, 0), (3, 3)):
+    if quantity not in ("mu", "lambda1"):
+        raise ValueError("quantity must be 'mu' or 'lambda1', got %r" % (quantity,))
+    pair = tuple(sorted((d_plus, d_minus)))
+    if pair == (0, 0) and quantity == "lambda1":
+        # 1 up to the half-space opening, then the real-root branch
+        return MuValue(1.0 if theta <= math.pi else mu_real_root(theta),
+                       "closed-form", "lambda1")
+    if pair in ((0, 0), (3, 3)) and quantity == "mu":
         role = "lambda2" if theta < math.pi else "lambda1"
         return MuValue(mu_real_root(theta), "closed-form", role)
-    return mu_numeric(theta, d_plus, d_minus, n=n)
-
-
-def lambda1_of_edge(d_plus: int, d_minus: int, theta: float, n: int = 32) -> MuValue:
-    """Real part of the first pencil eigenvalue, for the weight window of the
-    small-data existence result.
-
-    Velocity-velocity edges have a closed form (1 up to the half-space
-    opening, then the real-root branch).  Changed-condition edges with the
-    velocity given on one side carry the guaranteed bound 1/3 up to opening
-    3*pi/2; anything else falls back to the numeric solver.
-    """
-    pair = tuple(sorted((d_plus, d_minus)))
-    if pair == (0, 0):
-        if theta <= math.pi:
-            return MuValue(1.0, "closed-form", "lambda1")
-        return MuValue(mu_real_root(theta), "closed-form", "lambda1")
-    bound = class_bound("lambda1", d_plus, d_minus, theta)
+    bound = class_bound(quantity, d_plus, d_minus, theta)
     if bound is not None:
         return bound
-    spec = solve_spectrum(DihedronPencil(theta, d_plus, d_minus), (0.0, 1.8), n=n)
-    res = [ev.real for ev in spec.eigenvalues if ev.real > 1e-3]
-    if not res:
-        raise WindowError("no positive eigenvalue found for pair %r" % (pair,))
-    return MuValue(min(res), "numeric", "lambda1")
+    return mu_numeric(theta, d_plus, d_minus, n=n, quantity=quantity)

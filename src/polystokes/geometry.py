@@ -283,12 +283,6 @@ class Polyhedron:
                 vol += np.dot(pts[0], np.cross(pts[i], pts[i + 1])) / 6.0
         return float(vol)
 
-    def dihedral_angle(self, edge: Edge) -> float:
-        """Angle at an edge measured inside the fluid, in (0, 2*pi)."""
-        if edge is not self.edges[edge.id] and edge != self.edges[edge.id]:
-            raise MeshError("edge does not belong to this polyhedron")
-        return edge.theta
-
     def is_convex(self) -> bool:
         """True iff the solid is convex and the fluid is its interior.
 

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .edge_pencil import MuValue, WindowError, class_bound, lambda1_of_edge, mu_k
+from .edge_pencil import MuValue, WindowError, class_bound, edge_exponent
 from .geometry import (BoundaryAssignment, Edge, Polyhedron, VertexBound,
                        graph_direction_feasible)
 from .spaces import Eps, as_eps
@@ -223,30 +223,13 @@ def vertex_findings(spec: ProblemSpec) -> Dict[int, StripFinding]:
     return findings
 
 
-def _edge_mu(spec: ProblemSpec, edge: Edge, numeric_n: int = 32) -> MuValue:
-    """Exact exponent for the equal-condition pairs, guaranteed bound for the
-    mixed pairs covered by one, numeric solve otherwise.
-
-    Bounds are deliberately not refined numerically: point checks and the
-    interval scan must agree, and the scan's exact rational endpoints come
-    from the bounds.
-    """
-    d_plus, d_minus = spec.bc.pair(edge)
-    if tuple(sorted((d_plus, d_minus))) not in ((0, 0), (3, 3)):
-        bound = class_bound("mu", d_plus, d_minus, edge.theta)
-        if bound is not None:
-            return bound
-    return mu_k(spec.poly, spec.bc, edge, n=numeric_n)
-
-
 def _edge_exponent(spec: ProblemSpec, edge: Edge, rule: _Rule,
                    numeric_n: int) -> Tuple[Optional[MuValue], str]:
     """The rule's exponent at one edge, or None and the reason when no
     window certifies it."""
+    quantity = "lambda1" if rule.kind == "existence" else "mu"
     try:
-        if rule.first_eigenvalue:
-            return lambda1_of_edge(*spec.bc.pair(edge), edge.theta, n=numeric_n), ""
-        return _edge_mu(spec, edge, numeric_n), ""
+        return edge_exponent(quantity, *spec.bc.pair(edge), edge.theta, n=numeric_n), ""
     except WindowError as exc:
         return None, "exponent not certified: %s" % exc
 
@@ -291,26 +274,27 @@ class _Floor:
 class _Rule:
     """One target of the source results, as data.
 
-    Sobolev rows shift the edge weights by 2/s and the vertex weights by
-    -3/s.  Holder rows centre both at sigma, need nonnegative edge weights off
-    the resonances k + sigma (k < order), and leave the vertex strip open at
-    -1/2.  The edge condition is order - mu < weighted < order, or with
-    ``first_eigenvalue`` the window 1 - Re(lambda1) < weighted < 1 + Re(lambda1),
-    strict at both ends because the first-eigenvalue bounds may be attained.
+    ``kind`` fixes how the conditions read.  The 'sobolev' and 'existence'
+    rows shift the edge weights by 2/s and the vertex weights by -3/s, and a
+    matching class row certifies their nonweighted vertices.  'holder' rows
+    centre both at sigma, need nonnegative edge weights off the resonances
+    k + sigma (k < order), and leave the vertex strip open at -1/2.
+
+    The edge condition is order - mu < weighted < order; 'sobolev' rows clamp
+    its lower end at 0 (the weighted quantity is positive) and say when a
+    class bound could not certify an edge.  The 'existence' row reads the
+    window 1 - Re(lambda1) < weighted < 1 + Re(lambda1) instead, strict at
+    both ends because the first-eigenvalue bounds may be attained; it needs
+    a velocity-prescribed face at every edge, and it is the one row that does
+    not name a guaranteed eigenvalue as the reason a vertex fails.
     """
 
     target: str
+    kind: str  # 'sobolev' | 'holder' | 'existence'
     order: int
     edge_requirement: str  # formatted with the weighted edge quantity
     flags: Tuple[Tuple[str, str, Optional[Callable[[ProblemSpec], bool]]], ...]
     floors: Tuple[_Floor, ...] = ()
-    holder: bool = False
-    first_eigenvalue: bool = False
-    clamp: bool = False              # max(order - mu, 0): the weighted quantity is positive
-    bound_note: bool = False         # say when a class bound could not certify an edge
-    guaranteed_reason: bool = True   # say when a guaranteed eigenvalue blocks a vertex
-    class_fallback: bool = False     # a matching class row certifies nonweighted vertices
-    velocity_edges: bool = False     # every edge needs a velocity-prescribed face
 
 
 _DATA = ("data_in_required_spaces", "data in the required spaces", None)
@@ -331,18 +315,16 @@ def _holder_cap(cap: Fraction) -> _Floor:
 
 
 _RULES = {rule.target: rule for rule in (
-    _Rule("W1", 1, "max(1-mu, 0) < delta+2/s=%s < 1", (_DATA,),
+    _Rule("W1", "sobolev", 1, "max(1-mu, 0) < delta+2/s=%s < 1", (_DATA,),
           floors=(_Floor("s", _above(Fraction(6, 5)),
                          "nonlinear first-order result needs s > 6/5", nonlinear_only=True,
-                         scan="nonlinear floor s > 6/5 subsumed by s > 2"),),
-          clamp=True, bound_note=True, class_fallback=True),
-    _Rule("W2", 2, "max(2-mu, 0) < delta+2/s=%s < 2", (_DATA, _LIFTING),
-          clamp=True, bound_note=True, class_fallback=True),
-    _Rule("C1", 1, "1-mu < delta-sigma=%s < 1", (_DATA, _LIFTING),
-          floors=(_holder_cap(Fraction(3, 2)),), holder=True),
-    _Rule("C2", 2, "2-mu < delta-sigma=%s < 2", (_DATA, _LIFTING),
-          floors=(_holder_cap(Fraction(5, 2)),), holder=True),
-    _Rule("EXIST", 1, "1-Re(lambda1) < delta+2/s=%s < 1+Re(lambda1)",
+                         scan="nonlinear floor s > 6/5 subsumed by s > 2"),)),
+    _Rule("W2", "sobolev", 2, "max(2-mu, 0) < delta+2/s=%s < 2", (_DATA, _LIFTING)),
+    _Rule("C1", "holder", 1, "1-mu < delta-sigma=%s < 1", (_DATA, _LIFTING),
+          floors=(_holder_cap(Fraction(3, 2)),)),
+    _Rule("C2", "holder", 2, "2-mu < delta-sigma=%s < 2", (_DATA, _LIFTING),
+          floors=(_holder_cap(Fraction(5, 2)),)),
+    _Rule("EXIST", "existence", 1, "1-Re(lambda1) < delta+2/s=%s < 1+Re(lambda1)",
           (_DATA, ("small_data", "data norm sufficiently small", None),
            ("compatibility_conditions_hold",
             "flux compatibility for the velocity/slip-only configuration",
@@ -352,9 +334,7 @@ _RULES = {rule.target: rule for rule in (
                   _Floor("vertex", _below(Fraction(2), True),
                          "vertex {}: beta + 3/s must not exceed 2"),
                   _Floor("edge", _below(Fraction(2), True),
-                         "edge {}: delta + 3/s must not exceed 2")),
-          first_eigenvalue=True, guaranteed_reason=False, class_fallback=True,
-          velocity_edges=True),
+                         "edge {}: delta + 3/s must not exceed 2"))),
 )}
 
 
@@ -381,10 +361,10 @@ def _edge_window(rule: _Rule, mu: MuValue) -> Interval:
     inequality for the exponent itself.
     """
     b = mu.value if mu.bound is None else mu.bound
-    if rule.first_eigenvalue:
+    if rule.kind == "existence":
         return Interval(rule.order - b, rule.order + b)
     lo, lo_closed = rule.order - b, mu.is_lower_bound
-    if rule.clamp and not lo > 0:
+    if rule.kind == "sobolev" and not lo > 0:
         lo, lo_closed = 0, False
     return Interval(lo, rule.order, lo_closed, False)
 
@@ -450,16 +430,13 @@ def _s_window(window: Interval, c, k) -> Interval:
 # -- the theorem checks -------------------------------------------------------------
 
 def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> RegularityReport:
-    return _evaluate(spec, query, _RULES[query.target], numeric_n)
-
-
-def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
-              numeric_n: int = 32) -> RegularityReport:
-    if rule.velocity_edges:
+    rule = _RULES[query.target]
+    holder = rule.kind == "holder"
+    if rule.kind == "existence":
         _require_velocity_edges(
             spec, "; the small-data existence result requires one on every edge")
     rep = RegularityReport(rule.target, "unknown")
-    if rule.holder:
+    if holder:
         rep.sigma = float(query.sigma)
         sigma = as_eps(query.sigma)
     else:
@@ -480,13 +457,13 @@ def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
         values = {"s": (query.s,), "vertex": betas, "edge": deltas}[floor.scope]
         for i, x in enumerate(values):
             if floor.scope != "s":
-                x = x - sigma if rule.holder else x + three_s
+                x = x - sigma if holder else x + three_s
             if not floor.window.contains(x):
                 floors_ok = False
                 rep.notes.append(floor.note.format(i))
     edges_ok, any_unknown = True, False
     for e, dk in zip(spec.poly.edges, deltas):
-        if rule.holder and (dk < 0 or any(dk == as_eps(k) + sigma for k in range(rule.order))):
+        if holder and (dk < 0 or any(dk == as_eps(k) + sigma for k in range(rule.order))):
             why = ("edge weights must be nonnegative" if dk < 0
                    else "delta equals an excluded resonance value")
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
@@ -497,11 +474,11 @@ def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
             any_unknown = True
             continue
-        weighted = dk - sigma if rule.holder else dk + two_s
+        weighted = dk - sigma if holder else dk + two_s
         ok = _edge_window(rule, mu).contains(weighted)
         rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance,
                                    rule.edge_requirement % weighted, ok))
-        if not ok and mu.is_lower_bound and rule.bound_note:
+        if not ok and mu.is_lower_bound and rule.kind == "sobolev":
             rep.notes.append("edge %d: the guaranteed exponent bound could not certify "
                              "the condition; a numeric pencil solve may sharpen it" % e.id)
         edges_ok = edges_ok and ok
@@ -509,21 +486,21 @@ def _evaluate(spec: ProblemSpec, query: RegularityQuery, rule: _Rule,
     findings = vertex_findings(spec)
     guaranteed = known_exceptional(spec.bc.values())
     row = _row_fallback(spec, rule.target) \
-        if rule.class_fallback and query.is_nonweighted() else None
+        if not holder and query.is_nonweighted() else None
     vertices_ok, definite_fail = True, False
     for v, b in enumerate(betas):
         f = findings[v]
-        level = (as_eps(rule.order) + sigma - b if rule.holder
+        level = (as_eps(rule.order) + sigma - b if holder
                  else as_eps(rule.order) - b - three_s)
-        target = _strip_for(level, anchor_closed=not rule.holder)
-        ok = _level_window(f, not rule.holder).contains(level)
+        target = _strip_for(level, anchor_closed=not holder)
+        ok = _level_window(f, not holder).contains(level)
         why = strip_condition_holds(f, target)[1]  # the explanation of that verdict
         if not ok and row is not None and row.interval.contains(query.s):
             ok, why = True, "class result %s: admissible interval %s" % (row.row_id, row.interval)
             rep.citations.append("class:%s" % row.row_id)
         if not ok and any(target.contains(g) for g in guaranteed):
             definite_fail = True
-            if rule.guaranteed_reason:
+            if rule.kind != "existence":
                 why += "; a guaranteed eigenvalue of this configuration lies in the strip"
         elif not ok and f.unknown:
             any_unknown = True
@@ -555,7 +532,8 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
     if target not in ("W1", "W2", "EXIST"):
         raise ValueError("max_s supports W1, W2 and EXIST")
     rule = _RULES[target]
-    if rule.velocity_edges:
+    existence = rule.kind == "existence"
+    if existence:
         _require_velocity_edges(spec)
     rep = RegularityReport(target, "holds")
     # (admissible pieces, label of the lower end, label of the upper end)
@@ -572,7 +550,7 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
     for e in spec.poly.edges:
         mu, why = _edge_exponent(spec, e, rule, numeric_n)
         label = "edge %d (theta=%.6g)" % (e.id, e.theta)
-        if rule.first_eigenvalue:
+        if existence:
             req, lo_label = "weight window around the first eigenvalue", label
         else:
             req = "s below 2/(%d - mu) when mu < %d" % (rule.order, rule.order)
@@ -582,15 +560,15 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
             uncertified_edges = True
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
             rep.notes.append("edge %d: %s; the interval ignores this edge" % (e.id, why))
-            if not rule.first_eigenvalue:
+            if not existence:
                 constraints.append(([_s_window(_below(rule.order), 0, 2)], lo_label, label))
             continue
-        if mu.bound is not None and not rule.first_eigenvalue:
+        if mu.bound is not None and not existence:
             label = "edge %d via guaranteed bound mu > %s" % (e.id, mu.bound)
         rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, req, True))
         constraints.append(([_s_window(_edge_window(rule, mu), 0, 2)], lo_label, label))
     conditional = False
-    row = _row_fallback(spec, target) if rule.class_fallback else None
+    row = _row_fallback(spec, target)  # every row max_s scans has the class-row fallback
     for v, f in vertex_findings(spec).items():
         if f.unknown and row is None:
             conditional = True

@@ -8,8 +8,8 @@ import pytest
 
 from polystokes import fixtures as fx
 from polystokes.cli import FixtureRow, verification_rows, run_fixture_rows
-from polystokes.edge_pencil import (DihedronPencil, MuValue, mu_of_edge_point,
-                                    mu_real_root, mu_k, pencil_residual,
+from polystokes.edge_pencil import (DihedronPencil, MuValue, edge_exponent,
+                                    mu_of_edge_point, mu_real_root, pencil_residual,
                                     solve_spectrum)
 from polystokes.regularity import (Interval, ProblemSpec, RegularityQuery,
                                    check, decision_table, max_s)
@@ -42,7 +42,7 @@ def test_criterion_2_platonic_pipeline():
     for name in expected_mu:
         poly = fx.platonic(name, complement=True)
         bc = fx.with_conditions(poly, 0)
-        mu = min(mu_k(poly, bc, e).value for e in poly.edges)
+        mu = min(edge_exponent("mu", *bc.pair(e), e.theta).value for e in poly.edges)
         sin_theta = math.sin(poly.edges[0].theta)
         ok_mu = abs(mu - expected_mu[name]) < 1e-7
         ok_sin = abs(sin_theta - expected_sin[name]) < 1e-12
@@ -223,25 +223,25 @@ def test_criterion_7_property_suites(step_dirichlet, monkeypatch):
                 break
     # verdict monotone under exponent increase, 50 randomized queries
     import polystokes.regularity as reg
-    base_mu = reg._edge_mu
+    base_mu = reg.edge_exponent
     rng = np.random.default_rng(99)
     for _ in range(50):
         s = F(int(rng.integers(21, 44)), 10)
         q = RegularityQuery("W1", s=s)
-        monkeypatch.setattr(reg, "_edge_mu", base_mu)
+        monkeypatch.setattr(reg, "edge_exponent", base_mu)
         before = check(step_dirichlet, q).verdict
         bump = float(rng.uniform(0.01, 0.8))
 
-        def inflated(spec, edge, numeric_n=32, _b=bump):
-            mv = base_mu(spec, edge, numeric_n)
+        def inflated(quantity, d_plus, d_minus, theta, n=32, _b=bump):
+            mv = base_mu(quantity, d_plus, d_minus, theta, n)
             return MuValue(mv.value + _b, mv.provenance, mv.role, False, mv.note)
 
-        monkeypatch.setattr(reg, "_edge_mu", inflated)
+        monkeypatch.setattr(reg, "edge_exponent", inflated)
         after = check(step_dirichlet, q).verdict
         if before == "holds" and after != "holds":
             failures.append("verdict monotonicity at s=%s" % s)
             break
-    monkeypatch.setattr(reg, "_edge_mu", base_mu)
+    monkeypatch.setattr(reg, "edge_exponent", base_mu)
     _report(7, not failures, "property suites"
             + ("" if not failures else ": " + "; ".join(failures)))
 

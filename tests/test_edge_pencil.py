@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from polystokes import fixtures as fx
-from polystokes.edge_pencil import (DihedronPencil,
-                                    MU_THRESHOLD_TWO_THIRDS, WindowError,
-                                    assemble_pencil, dd_nn_residual,
-                                    lambda1_of_edge, mu_k, mu_lower_bound,
+from polystokes import edge_pencil as ep
+from polystokes.edge_pencil import (DihedronPencil, MU_THRESHOLD_TWO_THIRDS,
+                                    MuValue, WindowError, assemble_pencil,
+                                    class_bound, dd_nn_residual, edge_exponent,
                                     mu_numeric, mu_of_edge_point, mu_real_root,
                                     pencil_residual, solve_spectrum)
 
@@ -208,7 +208,7 @@ def test_mixed_slip_pair_narrow_takes_second_eigenvalue():
 def test_mu_k_dispatch(cube):
     bc = fx.with_conditions(cube, 0)
     for e in cube.edges:
-        mv = mu_k(cube, bc, e)
+        mv = edge_exponent("mu", *bc.pair(e), e.theta)
         assert mv.provenance == "closed-form"
         assert mv.value == pytest.approx(2.0, abs=0)
 
@@ -220,23 +220,73 @@ def test_mu_k_platonic_pipeline():
     for name, value in expected.items():
         poly = fx.platonic(name, complement=True)
         bc = fx.with_conditions(poly, 0)
-        mu = min(mu_k(poly, bc, e).value for e in poly.edges)
+        mu = min(edge_exponent("mu", *bc.pair(e), e.theta).value for e in poly.edges)
         assert mu == pytest.approx(value, abs=1e-7)
 
 
 def test_mu_lower_bounds_catalogue():
-    assert mu_lower_bound(0, 3, math.pi).value == 0.25
-    assert mu_lower_bound(0, 2, 1.4 * math.pi).value == pytest.approx(1 / 3)
-    assert mu_lower_bound(0, 2, 0.4 * math.pi).value == 1.0
-    assert mu_lower_bound(0, 1, 1.6 * math.pi).value == 0.25
-    assert mu_lower_bound(1, 2, math.pi) is None
+    assert class_bound("mu", 0, 3, math.pi).value == 0.25
+    assert class_bound("mu", 0, 2, 1.4 * math.pi).value == pytest.approx(1 / 3)
+    assert class_bound("mu", 0, 2, 0.4 * math.pi).value == 1.0
+    assert class_bound("mu", 0, 1, 1.6 * math.pi).value == 0.25
+    assert class_bound("mu", 1, 2, math.pi) is None
 
 
 def test_lambda1_catalogue():
-    assert lambda1_of_edge(0, 0, 0.5 * math.pi).value == 1.0
-    assert lambda1_of_edge(0, 0, 1.5 * math.pi).value == pytest.approx(0.54448373, abs=1e-8)
-    lb = lambda1_of_edge(0, 2, 1.5 * math.pi)
+    assert edge_exponent("lambda1", 0, 0, 0.5 * math.pi).value == 1.0
+    assert edge_exponent("lambda1", 0, 0, 1.5 * math.pi).value == pytest.approx(
+        0.54448373, abs=1e-8)
+    lb = edge_exponent("lambda1", 0, 2, 1.5 * math.pi)
     assert lb.is_lower_bound and lb.value == pytest.approx(1 / 3)
+
+
+# openings at which a class bound changes, each taken itself and on both sides
+_THRESHOLDS = (0.375 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi, 1.5 * math.pi,
+               MU_THRESHOLD_TWO_THIRDS, 0.5 * MU_THRESHOLD_TWO_THIRDS)
+
+
+def _documented_route(quantity, pair, theta):
+    """The route order the README states for ``edge_exponent``."""
+    if pair == (0, 0) or (pair == (3, 3) and quantity == "mu"):
+        return "closed-form"
+    if pair == (0, 3) or (pair in ((0, 1), (0, 2))
+                          and (quantity == "mu" or theta <= 1.5 * math.pi)):
+        return "class-bound"
+    return "numeric"
+
+
+def test_edge_exponent_route_table(monkeypatch):
+    # the numeric route is replaced by a stub that records its quantity, so
+    # the table needs no solver
+    calls = []
+
+    def numeric(theta, d_plus, d_minus, n=32, quantity="mu"):
+        calls.append(quantity)
+        return MuValue(1.0, "numeric", "lambda1")
+
+    monkeypatch.setattr(ep, "mu_numeric", numeric)
+    openings = [t + dt for t in _THRESHOLDS for dt in (-1e-6, 0.0, 1e-6)]
+    for quantity in ("mu", "lambda1"):
+        for pair in ((a, b) for a in range(4) for b in range(a, 4)):
+            for theta in openings:
+                mv = edge_exponent(quantity, *pair, theta)
+                assert mv.provenance == _documented_route(quantity, pair, theta), \
+                    (quantity, pair, theta)
+                assert edge_exponent(quantity, *reversed(pair), theta) == mv
+                if mv.provenance == "class-bound":
+                    assert mv == class_bound(quantity, *pair, theta)
+    assert calls and set(calls) == {"mu", "lambda1"}
+    with pytest.raises(ValueError):
+        edge_exponent("mu1", 0, 2, math.pi)
+
+
+def test_numeric_lambda1_route():
+    # slip against velocity beyond 3*pi/2: no class bound; the first
+    # eigenvalue is pi/(2*theta)
+    theta = 1.6 * math.pi
+    mv = edge_exponent("lambda1", 0, 2, theta)
+    assert mv.provenance == "numeric" and mv.role == "lambda1"
+    assert mv.value == pytest.approx(math.pi / (2 * theta), abs=1e-8)
 
 
 def test_dd_below_pi_has_no_eigenvalue_under_one():

@@ -44,12 +44,12 @@ def test_load_tetrahedron_complement():
     assert len(poly.edges) == 6
     expected = 2 * math.pi - math.acos(1.0 / 3.0)
     for e in poly.edges:
-        # oracle: dihedral from face-normal dot products on the hull solid
+        # oracle: the solid's dihedral angle from the face normals; the
+        # solid's angle is arccos(1/3) and the flow fills the rest
         kp, km = e.adjacent_faces
-        interior = math.pi - math.acos(-float(
+        interior = math.pi - math.acos(float(
             np.dot(poly.face_normals[kp], poly.face_normals[km])))
-        # the solid's interior angle is arccos(1/3); the flow fills the rest
-        assert abs((2 * math.pi - interior) - e.theta) < 1e-12 or True
+        assert abs((2 * math.pi - interior) - e.theta) < 1e-12
         assert e.theta == pytest.approx(expected, abs=1e-12)
         assert math.sin(e.theta) == pytest.approx(-(2.0 / 3.0) * math.sqrt(2.0), abs=1e-12)
 
@@ -101,7 +101,7 @@ def test_unparsable_document():
 
 def test_cube_dihedral_is_right_angle(cube):
     for e in cube.edges:
-        assert cube.dihedral_angle(e) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert e.theta == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_cube_complement_dihedral():

@@ -316,24 +316,24 @@ def test_right_angled_slip_wall_admits_two_pieces(step):
 def test_verdict_monotone_in_mu(step_dirichlet, monkeypatch):
     import polystokes.regularity as reg
     rng = np.random.default_rng(17)
-    base_mu = reg._edge_mu
+    base_mu = reg.edge_exponent
     flips = []
     for _ in range(50):
         s = F(int(rng.integers(21, 44)), 10)
         q = RegularityQuery("W1", s=s)
-        monkeypatch.setattr(reg, "_edge_mu", base_mu)
+        monkeypatch.setattr(reg, "edge_exponent", base_mu)
         before = check(step_dirichlet, q).verdict
         bump = float(rng.uniform(0.01, 0.8))
 
-        def inflated(spec, edge, numeric_n=32, _b=bump):
-            mv = base_mu(spec, edge, numeric_n)
+        def inflated(quantity, d_plus, d_minus, theta, n=32, _b=bump):
+            mv = base_mu(quantity, d_plus, d_minus, theta, n)
             return MuValue(mv.value + _b, mv.provenance, mv.role, False, mv.note)
 
-        monkeypatch.setattr(reg, "_edge_mu", inflated)
+        monkeypatch.setattr(reg, "edge_exponent", inflated)
         after = check(step_dirichlet, q).verdict
         if before == "holds":
             flips.append(after != "holds")
-    monkeypatch.setattr(reg, "_edge_mu", base_mu)
+    monkeypatch.setattr(reg, "edge_exponent", base_mu)
     assert not any(flips)
 
 
