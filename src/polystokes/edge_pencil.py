@@ -8,10 +8,11 @@ the velocity/stress trace operators of the condition index d.
 
 Two routes to the eigenvalues are provided and cross-checked:
 
-* the transcendental equation sin(l*t)*(l^2 sin^2 t - sin^2(l*t)) = 0 for the
-  velocity-on-both-sides and stress-on-both-sides pairs, with the real root
-  selection rules (pi/theta up to pi, the smallest root of
-  sin(m*t) + m*sin(t) = 0 above);
+* closed forms: the transcendental equation
+  sin(l*t)*(l^2 sin^2 t - sin^2(l*t)) = 0 for the velocity-on-both-sides and
+  stress-on-both-sides pairs, with the real root selection rules (pi/theta up
+  to pi, the smallest root of sin(m*t) + m*sin(t) = 0 above), and the
+  separated spectrum of the pairs (1,1), (2,2) and (1,2);
 * a Chebyshev collocation of the ODE system, linearized to a generalized
   eigenproblem of doubled size and filtered by refinement stability plus a
   normalized pencil residual.
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.linalg import eig, svdvals
 from scipy.optimize import brentq
 
-from .geometry import MU_THRESHOLD_TWO_THIRDS
+from .geometry import MU_THRESHOLD_TWO_THIRDS, special_opening
 
 __all__ = [
     "DihedronPencil",
@@ -38,6 +39,7 @@ __all__ = [
     "BracketingError",
     "dd_nn_residual",
     "mu_real_root",
+    "separable",
     "assemble_pencil",
     "solve_spectrum",
     "mu_of_edge_point",
@@ -113,7 +115,7 @@ class MuValue:
     role: str        # 'lambda1' | 'lambda2'
     is_lower_bound: bool = False
     note: str = ""
-    bound: Optional[Fraction] = None  # the exact rational behind a class bound
+    bound: Optional[Fraction] = None  # exact rational value, or the rational behind a class bound
 
     def __post_init__(self):
         if not self.value > 0:
@@ -424,6 +426,31 @@ def mu_numeric(theta: float, d_plus: int, d_minus: int, n: int = 32,
     raise WindowError("could not certify the edge exponent up to Re = %.2f" % hi)
 
 
+def separable(quantity: str, d_plus: int, d_minus: int, theta: float) -> MuValue:
+    """Edge ``quantity`` of the separable pairs (1,1), (2,2) and (1,2).
+
+    Their spectrum is {j*pi/theta} (j >= 1) u {|1 +- j*pi/theta|} (j >= 0),
+    with j over the half-integers for (1,2), where 1 is an eigenvalue too.
+    The selection is that of :func:`mu_of_edge_point` with the solver's cuts,
+    the zero cut ``_RE_MIN`` and 1 + ``_CERT_TOL`` for the second eigenvalue,
+    so both routes pick the same eigenvalue wherever the solver resolves the
+    spectrum (just below pi/2 it merges pi/theta - 1 into 1).  On the pi/24
+    grid pi/theta = 24/k, and the exact rational value is also in ``bound``.
+    """
+    exact = special_opening(theta)[1]
+    step = 1 / exact if exact is not None else math.pi / theta
+    half = Fraction(1, 2) if d_plus != d_minus else 0
+    # theta < 2*pi gives step > 1/2: six terms reach every value selected
+    values = {Fraction(1)}
+    for j in range(6):
+        x = (j + half) * step
+        values.update((x, abs(1 - x), 1 + x))
+    second = quantity == "mu" and _takes_second_eigenvalue(theta, d_plus, d_minus)
+    mu = min(v for v in values if v > (1 + _CERT_TOL if second else _RE_MIN))
+    return MuValue(float(mu), "closed-form", "lambda2" if second else "lambda1",
+                   bound=mu if exact is not None else None)
+
+
 # The guaranteed class bounds, largest first within each pair: the first row
 # whose pair and opening condition match gives the bound.  The first column
 # names the quantity bounded, the edge exponent mu or the real part of the
@@ -469,10 +496,11 @@ def edge_exponent(quantity: str, d_plus: int, d_minus: int, theta: float,
     first pencil eigenvalue ('lambda1'), constant along a straight edge.
 
     The one place that picks the route: the closed form for the velocity pair
-    (both quantities) and the stress pair (mu), else the first class bound
-    of the table, else the collocation solver.  Bounds are deliberately not
-    refined numerically: point checks and the interval scan must agree, and
-    the scan's exact rational endpoints come from the bounds.
+    and the separable pairs (both quantities) and the stress pair (mu), else
+    the first class bound of the table, else the collocation solver.  Bounds
+    are deliberately not refined numerically: point checks and the interval
+    scan must agree, and the scan's exact rational endpoints come from the
+    bounds and from the separable closed form on the pi/24 grid.
     """
     if quantity not in ("mu", "lambda1"):
         raise ValueError("quantity must be 'mu' or 'lambda1', got %r" % (quantity,))
@@ -484,6 +512,8 @@ def edge_exponent(quantity: str, d_plus: int, d_minus: int, theta: float,
     if pair in ((0, 0), (3, 3)) and quantity == "mu":
         role = "lambda2" if theta < math.pi else "lambda1"
         return MuValue(mu_real_root(theta), "closed-form", role)
+    if pair in ((1, 1), (2, 2), (1, 2)):
+        return separable(quantity, d_plus, d_minus, theta)
     bound = class_bound(quantity, d_plus, d_minus, theta)
     if bound is not None:
         return bound

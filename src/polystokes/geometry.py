@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "Polyhedron",
     "load_polyhedron",
     "loads_polyhedron",
+    "special_opening",
 ]
 
 
@@ -61,10 +63,20 @@ _SUPPORT_TOL = 1e-9
 # three times the angle whose cosine is 1/4 (about 1.2587*pi)
 MU_THRESHOLD_TWO_THIRDS = 3.0 * math.acos(0.25)
 
-# the openings an edge angle snaps to; every threshold of the exponent rules
-# is one of them (pi/2 is 12 / 24 * pi to the last bit)
-_SPECIAL_OPENINGS = tuple(k / 24 * math.pi for k in range(1, 48)) + (
-    MU_THRESHOLD_TWO_THIRDS, 0.5 * MU_THRESHOLD_TWO_THIRDS)
+# the openings an edge angle snaps to, each with its exact multiple of pi
+# where it has one; every threshold of the exponent rules is one of them
+# (pi/2 is 12 / 24 * pi to the last bit)
+_SPECIAL_OPENINGS = tuple((k / 24 * math.pi, Fraction(k, 24)) for k in range(1, 48)) + (
+    (MU_THRESHOLD_TWO_THIRDS, None), (0.5 * MU_THRESHOLD_TWO_THIRDS, None))
+
+
+def special_opening(theta: float, tol: float = 0.0) -> Tuple[float, Optional[Fraction]]:
+    """The special opening within ``tol`` of ``theta`` and, on the pi/24 grid,
+    its exact value as a multiple of pi; else ``(theta, None)``."""
+    special, exact = min(_SPECIAL_OPENINGS, key=lambda t: abs(t[0] - theta))
+    if abs(special - theta) <= tol:
+        return special, exact
+    return theta, None
 
 
 @dataclass(frozen=True)
@@ -244,9 +256,7 @@ class Polyhedron:
             k_minus = directed[(b, a)][0]
             theta_solid = self._solid_dihedral(a, b, k_plus, k_minus)
             theta = 2 * math.pi - theta_solid if self.complement else theta_solid
-            special = min(_SPECIAL_OPENINGS, key=lambda t: abs(t - theta))
-            if abs(special - theta) <= self.tol:
-                theta = special
+            theta = special_opening(theta, self.tol)[0]
             edges.append(Edge(len(edges), (a, b), (k_plus, k_minus), theta))
         return tuple(edges)
 

@@ -356,9 +356,10 @@ def _edge_window(rule: _Rule, mu: MuValue) -> Interval:
     """Admissible values of the weighted edge quantity (delta + 2/s, or
     delta - sigma).
 
-    A class bound enters as its exact rational; the exponent exceeds it
-    strictly, so order - bound <= weighted already gives the strict
-    inequality for the exponent itself.
+    An exact exponent or a class bound enters as its exact rational where it
+    has one.  The exponent exceeds a class bound strictly, so
+    order - bound <= weighted already gives the strict inequality for the
+    exponent itself; an exact exponent keeps that end open.
     """
     b = mu.value if mu.bound is None else mu.bound
     if rule.kind == "existence":
@@ -563,7 +564,7 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
             if not existence:
                 constraints.append(([_s_window(_below(rule.order), 0, 2)], lo_label, label))
             continue
-        if mu.bound is not None and not existence:
+        if mu.is_lower_bound and not existence:
             label = "edge %d via guaranteed bound mu > %s" % (e.id, mu.bound)
         rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, req, True))
         constraints.append(([_s_window(_edge_window(rule, mu), 0, 2)], lo_label, label))

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,7 +249,7 @@ _THRESHOLDS = (0.375 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi, 1.5 * ma
 
 def _documented_route(quantity, pair, theta):
     """The route order the README states for ``edge_exponent``."""
-    if pair == (0, 0) or (pair == (3, 3) and quantity == "mu"):
+    if pair in ((0, 0), (1, 1), (2, 2), (1, 2)) or (pair == (3, 3) and quantity == "mu"):
         return "closed-form"
     if pair == (0, 3) or (pair in ((0, 1), (0, 2))
                           and (quantity == "mu" or theta <= 1.5 * math.pi)):
@@ -295,3 +297,65 @@ def test_dd_below_pi_has_no_eigenvalue_under_one():
         spec = solve_spectrum(DihedronPencil(theta, 0, 0), (0.0, 1.05), n=32)
         pos = [ev.real for ev in spec.eigenvalues if ev.real > 1e-3]
         assert min(pos) == pytest.approx(1.0, abs=1e-8)
+
+
+# -- the separable pairs ----------------------------------------------------------
+
+_SEPARABLE = ((1, 1), (2, 2), (1, 2), (2, 1))
+
+
+def _separable_openings():
+    grid = [k / 24 * math.pi for k in (9, 12, 24, 36)]
+    near = [t + dt for t in (0.5 * math.pi, math.pi, 1.5 * math.pi) for dt in (-1e-6, 1e-6)]
+    rng = random.Random(20061)
+    return grid + near + [rng.uniform(0.1, 1.9) * math.pi for _ in range(3)]
+
+
+# Just below pi/2 the second eigenvalue of the even pairs, pi/theta - 1, lies
+# within the solver's clustering width (10 * _STAB_TOL) of the eigenvalue 1;
+# the solver merges the two and selects the next eigenvalue, near 2.
+_SOLVER_MERGES = [(pair, "mu", 0.5 * math.pi - 1e-6) for pair in ((1, 1), (2, 2))]
+
+
+@pytest.mark.parametrize("pair", _SEPARABLE, ids="{0[0]}{0[1]}".format)
+def test_separable_closed_form_matches_solver(pair, monkeypatch):
+    # both quantities select from one spectrum: solve each strip once
+    spectra = {}
+
+    def solve_once(p, window, n):
+        if (p, window, n) not in spectra:
+            spectra[p, window, n] = solve_spectrum(p, window, n)
+        return spectra[p, window, n]
+
+    monkeypatch.setattr(ep, "solve_spectrum", solve_once)
+    for theta, quantity in ((t, q) for t in _separable_openings() for q in ("mu", "lambda1")):
+        mv = edge_exponent(quantity, *pair, theta)
+        assert mv.provenance == "closed-form" and not mv.is_lower_bound
+        assert edge_exponent(quantity, *reversed(pair), theta) == mv
+        k = round(theta / math.pi * 24)
+        if theta == k / 24 * math.pi:
+            assert isinstance(mv.bound, Fraction) and float(mv.bound) == mv.value
+        else:
+            assert mv.bound is None
+        if (tuple(sorted(pair)), quantity, theta) in _SOLVER_MERGES:
+            assert mv.value == pytest.approx(math.pi / theta - 1, abs=1e-15)
+            continue
+        num = mu_numeric(theta, *pair, n=32, quantity=quantity)
+        assert abs(num.value - mv.value) <= ep._STAB_TOL and num.role == mv.role, \
+            (quantity, theta)
+
+
+@pytest.mark.xfail(strict=True, reason="the solver merges pi/theta - 1 into the eigenvalue 1")
+@pytest.mark.parametrize("pair, quantity, theta", _SOLVER_MERGES)
+def test_separable_solver_below_right_angle(pair, quantity, theta):
+    mv = edge_exponent(quantity, *pair, theta)
+    assert abs(mu_numeric(theta, *pair, quantity=quantity).value - mv.value) <= ep._STAB_TOL
+
+
+def test_separable_exact_on_the_grid():
+    # pi/theta = 24/k: (2,2) at pi/3 takes the second eigenvalue 3 - 1
+    assert edge_exponent("mu", 2, 2, 8 / 24 * math.pi).bound == 2
+    assert edge_exponent("lambda1", 2, 2, 8 / 24 * math.pi).bound == 1
+    assert edge_exponent("mu", 1, 2, math.pi).bound == Fraction(1, 2)
+    assert edge_exponent("mu", 1, 1, 1.5 * math.pi).bound == Fraction(1, 3)
+    assert edge_exponent("mu", 2, 1, 0.5 * math.pi).bound == 1

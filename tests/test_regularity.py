@@ -338,8 +338,10 @@ def test_verdict_monotone_in_mu(step_dirichlet, monkeypatch):
 
 
 def test_uncertified_edge_exponent_gives_unknown(cube, monkeypatch, tmp_path, capsys):
-    # all-slip cube whose vertices are certified by user bounds (R6), so only
-    # the numeric edge exponents stand between the checks and a verdict
+    # cube with stress on top and bottom and slip on the sides, vertices
+    # certified by user bounds (R6): only the numeric exponents of the eight
+    # (2,3) edges stand between the checks and a verdict; the four slip
+    # edges take the closed form
     import polystokes.edge_pencil as ep
     from polystokes.cli import main
     from polystokes.geometry import VertexBound
@@ -349,16 +351,20 @@ def test_uncertified_edge_exponent_gives_unknown(cube, monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(ep, "mu_numeric", no_window)
     bounds = {v: VertexBound(0.9, "test bound") for v in range(len(cube.vertices))}
-    bc = fx.with_conditions(cube, 2)
+    heights = [cube.vertices[list(loop)][:, 2].mean() for loop in cube.faces]
+    bc = fx.with_conditions(cube, 2, {int(np.argmax(heights)): 3, int(np.argmin(heights)): 3})
+    numeric = {e.id for e in cube.edges if 3 in bc.pair(e)}
+    assert len(numeric) == 8
     spec = ProblemSpec(cube, bc, ALL_FLAGS, vertex_bounds=bounds)
     rep = check(spec, RegularityQuery("W1", s=F(5, 2)))
     assert rep.verdict == "unknown"
     assert all(v.satisfied for v in rep.vertices)
     assert all(not e.satisfied and e.mu == 0.0 and e.mu_provenance == "-"
-               and "could not certify" in e.requirement for e in rep.edges)
+               and "could not certify" in e.requirement for e in rep.edges if e.edge in numeric)
+    assert all(e.mu_provenance == "closed-form" for e in rep.edges if e.edge not in numeric)
     scan = max_s(spec, "W1")
     assert scan.verdict == "unknown"
-    assert sum("ignores this edge" in n for n in scan.notes) == len(cube.edges)
+    assert sum("ignores this edge" in n for n in scan.notes) == len(numeric)
     # delta + 2/s < 1 needs no exponent: the lower end s > 2 stays
     assert scan.s_interval.lo == F(2) and not scan.s_interval.lo_closed
     path = tmp_path / "slip.domain"
@@ -366,6 +372,42 @@ def test_uncertified_edge_exponent_gives_unknown(cube, monkeypatch, tmp_path, ca
     assert main(["analyze", "--input", str(path), "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["w1"]["verdict"] == out["w2"]["verdict"] == "unknown"
+
+
+def test_all_slip_cube_scan_is_exact(cube, monkeypatch):
+    # the slip pair (2,2) at pi/2 has the closed form mu = 1: the W2 scan is
+    # (1, 2) with rational ends, and the binding edge is named as exact, not
+    # as a guaranteed bound
+    import polystokes.edge_pencil as ep
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the collocation solver was called")
+
+    monkeypatch.setattr(ep, "eig", no_solver)
+    scan = max_s(ProblemSpec(cube, fx.with_conditions(cube, 2), ALL_FLAGS), "W2")
+    assert scan.s_interval == Interval(F(1), F(2), False, False)
+    assert all(isinstance(x, F) for x in (scan.s_interval.lo, scan.s_interval.hi))
+    assert all(e.mu_provenance == "closed-form" and e.mu == 1.0 for e in scan.edges)
+    assert scan.binding.startswith("upper: edge 0 (theta=1.5708);")
+    assert "guaranteed bound" not in scan.binding
+
+
+@pytest.mark.parametrize("d", [2, 1])
+def test_separable_tetrahedron_scan_without_solver(d, monkeypatch):
+    # the all-slip and all-tangential tetrahedra: every edge opens at
+    # arccos(1/3) < pi/2 and takes the second eigenvalue pi/theta - 1
+    import polystokes.edge_pencil as ep
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the collocation solver was called")
+
+    monkeypatch.setattr(ep, "eig", no_solver)
+    tet = fx.platonic("tetrahedron")
+    scan = max_s(ProblemSpec(tet, fx.with_conditions(tet, d), ALL_FLAGS), "W2")
+    mu = math.pi / math.acos(1 / 3) - 1
+    assert all(e.mu_provenance == "closed-form" and e.mu == pytest.approx(mu, abs=1e-14)
+               for e in scan.edges)
+    assert scan.s_interval.hi == pytest.approx(2 / (2 - mu), abs=1e-12)
 
 
 # -- the class table ------------------------------------------------------------
