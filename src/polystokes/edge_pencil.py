@@ -13,20 +13,22 @@ Two routes to the eigenvalues are provided and cross-checked:
   stress-on-both-sides pairs, with the real root selection rules (pi/theta up
   to pi, the smallest root of sin(m*t) + m*sin(t) = 0 above), and the
   separated spectrum of the pairs (1,1), (2,2) and (1,2);
-* a Chebyshev collocation of the ODE system, linearized to a generalized
-  eigenproblem of doubled size and filtered by refinement stability plus a
-  normalized pencil residual.
+* a Chebyshev collocation of the ODE system, linearized compactly (a
+  companion unknown only for the interior velocity nodes, where the lam^2
+  term acts), solved by shift-invert from a shift near the window midpoint,
+  and filtered by refinement stability plus a normalized pencil residual.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eig, svdvals
+from scipy.linalg import LinAlgWarning, eig, lu_factor, lu_solve, svdvals
 from scipy.optimize import brentq
 
 from .geometry import MU_THRESHOLD_TWO_THIRDS, special_opening
@@ -301,49 +303,107 @@ def _blocks(p: DihedronPencil, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     return A, B, C
 
 
+def _evaluate(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray], lam: complex) -> np.ndarray:
+    A, B, C = blocks
+    return A + lam * B + lam ** 2 * C
+
+
 def assemble_pencil(p: DihedronPencil, lam: complex, n: int) -> np.ndarray:
     """Dense discretization of the pencil at a fixed spectral parameter."""
-    A, B, C = _blocks(p, n)
-    return A + lam * B + lam ** 2 * C
+    return _evaluate(_blocks(p, n), lam)
+
+
+def _residual(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray], lam: complex) -> float:
+    sv = svdvals(_evaluate(blocks, lam))
+    return float(sv[-1] / sv[0])
 
 
 def pencil_residual(p: DihedronPencil, lam: complex, n: int) -> float:
     """Normalized smallest singular value of the discretized pencil."""
-    sv = svdvals(assemble_pencil(p, lam, n))
-    return float(sv[-1] / sv[0])
+    return _residual(_blocks(p, n), lam)
 
 
-def _raw_eigenvalues(p: DihedronPencil, n: int) -> np.ndarray:
-    A, B, C = _blocks(p, n)
-    size = A.shape[0]
-    I = np.eye(size)
-    Z = np.zeros_like(A)
-    lhs = np.block([[A, B], [Z, I]])
-    rhs = np.block([[Z, -C], [I, Z]])
-    w = eig(lhs, rhs, right=False)
-    return w[np.isfinite(w)]
+def pencil_residuals(p: DihedronPencil, lams: Sequence[complex], n: int) -> List[float]:
+    """:func:`pencil_residual` at each of ``lams``, from one assembly."""
+    blocks = _blocks(p, n)
+    return [_residual(blocks, lam) for lam in lams]
+
+
+_SHIFT_OFFSET = math.sqrt(2.0) / 100.0  # the shift sits this far above the window midpoint
+_SHIFT_STEP = (math.sqrt(5.0) - 1.0) / 16.0  # a colliding shift moves by this share of the width
+_SHIFT_MOVES = 3    # collisions tolerated before the solve gives up
+_SHIFT_GAP = 1e-4   # an eigenvalue within this (relative to max(1, |shift|)) collides
+
+
+def _shift(window: Tuple[float, float]) -> float:
+    """The first shift of the shift-invert solve: the window midpoint, offset."""
+    return 0.5 * (window[0] + window[1]) + _SHIFT_OFFSET
+
+
+def _raw_eigenvalues(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                     window: Tuple[float, float]) -> np.ndarray:
+    """Finite eigenvalues of the compact linearization, by shift-invert.
+
+    Only the interior velocity unknowns, the columns where C is nonzero, get
+    a companion w = lam u: L z = lam M z with L = [[A, 0], [0, I]] and
+    M = [[-B, -C[:, cols]], [S, 0]], S selecting those columns.  The real
+    matrix (L - sigma M)^-1 M has the eigenvalues 1 / (lam - sigma), and the
+    infinite eigenvalues of the singular M become its zero eigenvalues.  A
+    shift that hits the spectrum (a zero pivot, or a computed eigenvalue
+    within ``_SHIFT_GAP``) is moved by ``_SHIFT_STEP`` of the window width.
+    """
+    A, B, C = blocks
+    cols = np.flatnonzero(C.any(axis=0))
+    size, k = A.shape[0], len(cols)
+    L = np.zeros((size + k, size + k))
+    M = np.zeros_like(L)
+    L[:size, :size] = A
+    L[size:, size:] = np.eye(k)
+    M[:size, :size] = -B
+    M[:size, size:] = -C[:, cols]
+    M[size + np.arange(k), cols] = 1.0
+    sigma = _shift(window)
+    for _ in range(_SHIFT_MOVES + 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                lu = lu_factor(L - sigma * M)
+            except LinAlgWarning:  # a zero pivot: sigma is an eigenvalue
+                lu = None
+        if lu is not None:
+            mu = eig(lu_solve(lu, M), right=False)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                lam = sigma + 1.0 / mu
+            lam = lam[np.isfinite(lam)]
+            if not np.any(np.abs(lam - sigma) <= _SHIFT_GAP * max(1.0, abs(sigma))):
+                return lam
+        sigma += _SHIFT_STEP * (window[1] - window[0])
+    raise WindowError("every shift tried in the window lies on the spectrum")
 
 
 def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
                    n: int = 32) -> Spectrum:
     """Eigenvalues of the pencil in a strip re_lo <= Re <= re_hi.
 
-    The quadratic pencil is linearized to a generalized eigenproblem of
-    doubled size; reported eigenvalues must reproduce under n -> 2n within
-    ``_STAB_TOL`` and have normalized residual below ``_RES_TOL``.
+    The quadratic pencil is linearized compactly, with companion unknowns
+    only where its lam^2 term acts, and solved by shift-invert from a shift
+    near the window midpoint (:func:`_raw_eigenvalues`).  Reported
+    eigenvalues must reproduce under n -> 2n within ``_STAB_TOL`` and have
+    normalized residual at 2n below ``_RES_TOL``.
     """
     re_lo, re_hi = window
     if not re_lo < re_hi or not np.isfinite(re_lo) or not np.isfinite(re_hi):
         raise ValueError("window must be a bounded strip")
-    coarse = _raw_eigenvalues(p, n)
-    fine = _raw_eigenvalues(p, 2 * n)
+    coarse = _raw_eigenvalues(_blocks(p, n), window)
+    fine_blocks = _blocks(p, 2 * n)
+    fine = _raw_eigenvalues(fine_blocks, window)
     sel = fine[(fine.real >= re_lo - 1e-12) & (fine.real <= re_hi + 1e-12)]
     kept: List[complex] = []
     unresolved: List[complex] = []
     worst = 0.0
     for lam in sel:
         dist = np.abs(coarse - lam).min() if len(coarse) else np.inf
-        res = pencil_residual(p, complex(lam), 2 * n)
+        res = _residual(fine_blocks, complex(lam))
         if dist <= _STAB_TOL and res <= _RES_TOL:
             kept.append(complex(lam))
             worst = max(worst, res)

@@ -6,6 +6,7 @@ import pytest
 from polystokes import fixtures as fx
 from polystokes.cli import (FixtureRow, main, verification_rows, parse_theta,
                             run_fixture_rows)
+from polystokes.edge_pencil import DihedronPencil, pencil_residual
 from polystokes.geometry import VertexBound
 
 
@@ -170,3 +171,13 @@ def test_analyze_exist_without_velocity_edge_warns(tmp_path, capsys):
     path.write_text(fx.domain_document(cube, fx.with_conditions(cube, 2)))
     assert main(["analyze", "--input", str(path), "--target", "exist", "--s", "5/2"]) == 0
     assert "warning: existence check not applicable" in capsys.readouterr().out
+
+
+def test_pencil_residuals_from_one_assembly(capsys):
+    assert main(["pencil", "--theta", "1.3*pi", "--bc", "1,3", "--window", "0,2",
+                 "--n", "16", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    p = DihedronPencil(1.3 * math.pi, 1, 3)
+    assert out["eigenvalues"]
+    for row in out["eigenvalues"]:
+        assert row["residual"] == pencil_residual(p, complex(row["re"], row["im"]), 16)

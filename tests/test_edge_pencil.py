@@ -1,9 +1,11 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polystokes import fixtures as fx
 from polystokes import edge_pencil as ep
@@ -359,3 +361,133 @@ def test_separable_exact_on_the_grid():
     assert edge_exponent("mu", 1, 2, math.pi).bound == Fraction(1, 2)
     assert edge_exponent("mu", 1, 1, 1.5 * math.pi).bound == Fraction(1, 3)
     assert edge_exponent("mu", 2, 1, 0.5 * math.pi).bound == 1
+
+
+# -- the shift-invert eigensolve ----------------------------------------------------
+
+def _doubled_companion(blocks, window):
+    """Reference eigenvalues: QZ on the companion pencil of doubled size."""
+    A, B, C = blocks
+    I, Z = np.eye(A.shape[0]), np.zeros_like(A)
+    w = scipy.linalg.eig(np.block([[A, B], [Z, I]]), np.block([[Z, -C], [I, Z]]), right=False)
+    return w[np.isfinite(w)]
+
+
+def _separable_spectrum(pair, theta, hi):
+    """{k*pi/theta} u {|1 +- k*pi/theta|} in (0, hi], k over the half-integers
+    for (1,2), as value -> multiplicity."""
+    half = 0.5 if pair[0] != pair[1] else 0.0
+    values = [1.0] if half else []
+    for k in range(40):
+        x = (k + half) * math.pi / theta
+        values += [abs(1 - x), 1 + x] + ([x] if x else [])
+    spectrum = {}
+    for v in sorted(v for v in values if 1e-3 < v <= hi):
+        key = next((u for u in spectrum if abs(u - v) <= ep._STAB_TOL), v)
+        spectrum[key] = spectrum.get(key, 0) + 1
+    return spectrum
+
+
+def _collisions():
+    sigma = ep._shift((0.0, 2.4))
+    return [((2, 2), math.pi / (sigma + 1)),   # pi/theta - 1 = sigma
+            ((2, 2), math.pi / sigma),         # pi/theta = sigma
+            ((1, 2), math.pi / sigma),
+            ((1, 2), math.pi / (2 * sigma))]   # pi/(2 theta) = sigma
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+    real = ep.eig
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ep, "eig", counting)
+    return calls
+
+
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("pair, theta", _collisions())
+def test_shift_on_an_eigenvalue_moves(pair, theta, eig_calls):
+    spec = solve_spectrum(DihedronPencil(theta, *pair), (0.0, 2.4), n=32)
+    got = [(ev, m) for ev, m in zip(spec.eigenvalues, spec.multiplicities) if abs(ev) > ep._RE_MIN]
+    expected = _separable_spectrum(pair, theta, 2.4)
+    assert len(got) == len(expected), (got, expected)
+    for (ev, m), (value, count) in zip(got, sorted(expected.items())):
+        assert abs(ev - value) <= ep._STAB_TOL and m == count, (ev, m, value, count)
+    if pair == (2, 2):
+        assert expected[1.0] == 2
+    sigma = ep._shift((0.0, 2.4))
+    if any(abs(v - sigma) < 1e-12 for v in expected):
+        assert len(eig_calls) > 2  # the guard fired on both sizes
+
+
+def test_one_eigensolve_per_size(eig_calls):
+    solve_spectrum(DihedronPencil(1.3 * math.pi, 1, 3), (0.0, 2.4), n=16)
+    assert len(eig_calls) == 2
+
+
+def _zero_pivots(count):
+    """``lu_factor`` that reports a zero pivot on its first ``count`` calls."""
+    real, calls = ep.lu_factor, []
+
+    def lu_factor(a):
+        calls.append(1)
+        if len(calls) <= count:
+            warnings.warn("Diagonal number 1 is exactly zero. Singular matrix.",
+                          scipy.linalg.LinAlgWarning)
+        return real(a)
+
+    return lu_factor
+
+
+def test_zero_pivot_moves_the_shift(monkeypatch, eig_calls):
+    p = DihedronPencil(1.3 * math.pi, 1, 3)
+    base = solve_spectrum(p, (0.0, 2.4), n=16)
+    monkeypatch.setattr(ep, "lu_factor", _zero_pivots(1))
+    moved = solve_spectrum(p, (0.0, 2.4), n=16)
+    assert len(eig_calls) == 4  # two per solve: no eigensolve follows a zero pivot
+    assert len(moved.eigenvalues) == len(base.eigenvalues)
+    assert max(abs(a - b) for a, b in zip(moved.eigenvalues, base.eigenvalues)) <= ep._STAB_TOL
+    monkeypatch.setattr(ep, "lu_factor", _zero_pivots(ep._SHIFT_MOVES + 1))
+    with pytest.raises(WindowError):
+        solve_spectrum(p, (0.0, 2.4), n=16)
+
+
+def _equivalence_cases():
+    rng = random.Random(80817)
+    cases = []
+    for i, pair in enumerate((a, b) for a in range(4) for b in range(a, 4)):
+        openings = [0.5 * math.pi, 1.5 * math.pi, math.pi, 0.1 * math.pi]
+        openings += [rng.uniform(0.1, 1.9) * math.pi for _ in range(2)]
+        for j, theta in enumerate(openings):
+            # the strips mu_numeric tries, its first one widened 0..3 times;
+            # the default size on the first strip of one opening per pair
+            hi = max(2.4, math.pi / theta + 0.8)
+            if j == 4:
+                cases.append((pair, theta, hi, 32))
+            else:
+                cases.append((pair, theta, hi * 1.6 ** ((i + j) % 4), 16))
+    return cases
+
+
+@pytest.mark.parametrize("pair, theta, hi, n", _equivalence_cases())
+def test_shift_invert_matches_doubled_companion(pair, theta, hi, n, monkeypatch):
+    p = DihedronPencil(theta, *pair)
+    spec = solve_spectrum(p, (0.0, hi), n=n)
+    monkeypatch.setattr(ep, "_raw_eigenvalues", _doubled_companion)
+    ref = solve_spectrum(p, (0.0, hi), n=n)
+
+    # the zero eigenvalue is defective: both solvers split its copies by up
+    # to ~5e-5, so they are left out of the comparison
+    def nonzero(s):
+        return [(ev, m) for ev, m in zip(s.eigenvalues, s.multiplicities) if abs(ev) > 1e-4]
+
+    got, want = nonzero(spec), nonzero(ref)
+    assert len(got) == len(want)
+    for ev, m in got:
+        near = min(want, key=lambda r: abs(r[0] - ev))
+        assert abs(near[0] - ev) <= ep._STAB_TOL and near[1] == m, (ev, m, near)
