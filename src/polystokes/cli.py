@@ -232,9 +232,9 @@ def _cmd_pencil(args) -> int:
 
 
 def _parse_number(option: str, text: str):
-    """A rational ('5/2', '3') or a decimal ('2.5'); errors name the option."""
+    """The exact rational ``text`` writes ('5/2', '3', '2.5'); errors name the option."""
     try:
-        return Fraction(text) if "/" in text or "." not in text else float(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError("%s: %r is not a number" % (option, text)) from None
 

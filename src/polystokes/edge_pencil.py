@@ -3,8 +3,14 @@
 Separating r^lambda out of the Stokes system on an infinite wedge of opening
 theta turns it into a quadratic eigenvalue problem for an ODE system on the
 arc (-theta/2, theta/2): three momentum equations in the Cartesian velocity
-components, the divergence row, and three boundary rows per side realizing
-the velocity/stress trace operators of the condition index d.
+components, the divergence row, and three boundary rows per side.  These
+read the README condition table per vector v of the face frame (n, e_r, e_z):
+the condition index d names the frame vectors along which the velocity
+vanishes, v.u = 0 (``_VELOCITY_TRACES``), and along every other one the
+stress does, v.(2 nu eps(u) n - p n) = nu (n.d_v u + v.d_n u) - (v.n) p = 0.
+Every derivative, in these rows and in the interior ones, is the one scaled
+directional derivative (w.e_phi) d/dphi + lambda (w.e_r) along a vector w,
+with lambda - 1 in place of lambda for the pressure.
 
 Two routes to the eigenvalues are provided and cross-checked:
 
@@ -174,6 +180,12 @@ def _cheb(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return D, x
 
 
+# The vectors of a face's frame (n, e_r, e_z) that carry a velocity condition,
+# by condition index d: the README condition table read per frame vector.
+# Along these v.u = 0; along the others v.(2 nu eps(u) n - p n) = 0.
+_VELOCITY_TRACES = {0: "nrz", 1: "rz", 2: "n", 3: ""}
+
+
 def _blocks(p: DihedronPencil, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-scaled coefficient matrices (A, B, C) of T(lam) = A + lam B + lam^2 C."""
     if n < 8:
@@ -192,107 +204,45 @@ def _blocks(p: DihedronPencil, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     P = slice(3 * m, 4 * m)
     cos, sin = np.cos(phi), np.sin(phi)
     nu = p.nu
+    axes = np.eye(3)
+
+    def derivative(r, k, w, cols, coef=1.0, degree=0):
+        # add to row r coef times the derivative along w, at node k, of the
+        # unknown on cols; that unknown carries r^(lam + degree), so the
+        # derivative, scaled by r^(1 - lam - degree), is
+        # (w.e_phi) d/dphi + (lam + degree)(w.e_r)
+        w_r = w[0] * cos[k] + w[1] * sin[k]
+        w_phi = w[1] * cos[k] - w[0] * sin[k]
+        A[r, cols] += coef * w_phi * D[k]
+        A[r, cols.start + k] += coef * degree * w_r
+        B[r, cols.start + k] += coef * w_r
+
     r = 0
-    # momentum rows at interior nodes; the pressure gradient in Cartesian
-    # components is ((lam-1) cos - sin d/dphi, (lam-1) sin + cos d/dphi, 0) P
+    # momentum -nu (d^2/dphi^2 + lam^2) u_i + d/dx_i p at interior nodes
     for i in range(3):
         for k in range(1, n):
             A[r, U[i]] -= nu * D2[k, :]
             C[r, U[i].start + k] -= nu
-            if i == 0:
-                A[r, P] -= sin[k] * D[k, :]
-                A[r, P.start + k] -= cos[k]
-                B[r, P.start + k] += cos[k]
-            elif i == 1:
-                A[r, P] += cos[k] * D[k, :]
-                A[r, P.start + k] -= sin[k]
-                B[r, P.start + k] += sin[k]
+            derivative(r, k, axes[i], P, degree=-1)
             r += 1
     # divergence at every node
     for k in range(m):
-        B[r, U[0].start + k] += cos[k]
-        B[r, U[1].start + k] += sin[k]
-        A[r, U[0]] -= sin[k] * D[k, :]
-        A[r, U[1]] += cos[k] * D[k, :]
+        for j in range(3):
+            derivative(r, k, axes[j], U[j])
         r += 1
     # boundary rows; endpoint momentum slots are replaced by the traces
     for e, d, sgn in ((0, p.d_plus, 1.0), (n, p.d_minus, -1.0)):
-        c0, s0 = math.cos(phi[e]), math.sin(phi[e])
-        nvec = (-sgn * s0, sgn * c0, 0.0)
-        t_rad = (c0, s0, 0.0)
-
-        def form():
-            return np.zeros(size), np.zeros(size)
-
-        # scaled velocity gradient rows G[a][j]: d u_j / d x_a times r^{1-lam}
-        G = [[None] * 3 for _ in range(3)]
-        for j in range(3):
-            a0, b0 = form()
-            a0[U[j]] -= s0 * D[e, :]
-            b0[U[j].start + e] += c0
-            G[0][j] = (a0, b0)
-            a1, b1 = form()
-            a1[U[j]] += c0 * D[e, :]
-            b1[U[j].start + e] += s0
-            G[1][j] = (a1, b1)
-            G[2][j] = form()
-
-        def strain_normal(a):
-            # component a of the scaled strain tensor applied to the normal
-            Ar, Br = form()
-            for b in range(3):
-                if nvec[b]:
-                    Aab = 0.5 * (G[a][b][0] + G[b][a][0])
-                    Bab = 0.5 * (G[a][b][1] + G[b][a][1])
-                    Ar += Aab * nvec[b]
-                    Br += Bab * nvec[b]
-            return Ar, Br
-
-        rows: List[Tuple[np.ndarray, np.ndarray]] = []
-        if d == 0:
-            for j in range(3):
-                a0, b0 = form()
-                a0[U[j].start + e] = 1.0
-                rows.append((a0, b0))
-        elif d == 1:
-            a0, b0 = form()
-            a0[U[0].start + e] = c0
-            a0[U[1].start + e] = s0
-            rows.append((a0, b0))
-            a1, b1 = form()
-            a1[U[2].start + e] = 1.0
-            rows.append((a1, b1))
-            Ar, Br = form()
-            for a in range(3):
-                if nvec[a]:
-                    ea, eb = strain_normal(a)
-                    Ar += 2 * nu * nvec[a] * ea
-                    Br += 2 * nu * nvec[a] * eb
-            Ar[P.start + e] -= 1.0
-            rows.append((Ar, Br))
-        elif d == 2:
-            a0, b0 = form()
-            a0[U[0].start + e] = nvec[0]
-            a0[U[1].start + e] = nvec[1]
-            rows.append((a0, b0))
-            for tvec in (t_rad, (0.0, 0.0, 1.0)):
-                Ar, Br = form()
-                for a in range(3):
-                    if tvec[a]:
-                        ea, eb = strain_normal(a)
-                        Ar += tvec[a] * ea
-                        Br += tvec[a] * eb
-                rows.append((Ar, Br))
-        else:  # d == 3
-            for a in range(3):
-                ea, eb = strain_normal(a)
-                Ar = 2 * nu * ea
-                Br = 2 * nu * eb
-                Ar[P.start + e] -= nvec[a]
-                rows.append((Ar, Br))
-        for ar, br in rows:
-            A[r] += ar
-            B[r] += br
+        normal = np.array([-sgn * sin[e], sgn * cos[e], 0.0])
+        frame = {"n": normal, "r": np.array([cos[e], sin[e], 0.0]), "z": axes[2]}
+        for key, v in frame.items():
+            if key in _VELOCITY_TRACES[d]:
+                for j in range(3):
+                    A[r, U[j].start + e] = v[j]
+            else:  # v.(2 nu eps(u) n - p n) = nu (n.d_v u + v.d_n u) - (v.n) p
+                for j in range(3):
+                    derivative(r, e, v, U[j], nu * normal[j])
+                    derivative(r, e, normal, U[j], nu * v[j])
+                A[r, P.start + e] -= v @ normal
             r += 1
     assert r == size
     scale = np.abs(A).max(axis=1) + np.abs(B).max(axis=1) + np.abs(C).max(axis=1)
@@ -570,8 +520,8 @@ def edge_exponent(quantity: str, d_plus: int, d_minus: int, theta: float,
         return MuValue(1.0 if theta <= math.pi else mu_real_root(theta),
                        "closed-form", "lambda1")
     if pair in ((0, 0), (3, 3)) and quantity == "mu":
-        role = "lambda2" if theta < math.pi else "lambda1"
-        return MuValue(mu_real_root(theta), "closed-form", role)
+        second = _takes_second_eigenvalue(theta, d_plus, d_minus)
+        return MuValue(mu_real_root(theta), "closed-form", "lambda2" if second else "lambda1")
     if pair in ((1, 1), (2, 2), (1, 2)):
         return separable(quantity, d_plus, d_minus, theta)
     bound = class_bound(quantity, d_plus, d_minus, theta)

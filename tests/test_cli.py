@@ -165,6 +165,27 @@ def test_analyze_sigma_is_exact_rational(cube_file, capsys):
         "delta equals an excluded resonance value"}
 
 
+@pytest.mark.parametrize("sigma, delta", [("0.1", "1/10"), ("1/10", "0.1")])
+def test_analyze_decimals_are_exact_rationals(cube_file, capsys, sigma, delta):
+    # a decimal is the rational it writes: 0.1 meets 1/10 at the resonance delta = sigma
+    def report(sigma_text, delta_text):
+        assert main(["analyze", "--input", cube_file, "--target", "c1", "--sigma", sigma_text,
+                     "--delta", delta_text, "--format", "json"]) == 0
+        return capsys.readouterr().out
+
+    out = report(sigma, delta)
+    assert out == report("1/10", "1/10")
+    assert {e["requirement"] for e in json.loads(out)["c1"]["edges"]} == {
+        "delta equals an excluded resonance value"}
+
+
+@pytest.mark.parametrize("text", ["inf", "nan"])
+def test_analyze_non_finite_s_is_input_error(cube_file, capsys, text):
+    assert main(["analyze", "--input", cube_file, "--target", "w1", "--s", text]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: --s: %r" % text)
+
+
 def test_analyze_exist_without_velocity_edge_warns(tmp_path, capsys):
     cube = fx.cube()
     path = tmp_path / "slip.domain"

@@ -91,11 +91,14 @@ def test_dirichlet_rows_are_velocity_traces():
     n = 12
     T = assemble_pencil(p, 0.37, n)
     m = n + 1
-    # the six boundary rows are the last ones; for the velocity condition they
-    # pick single nodal values of the three components
-    for r in range(4 * m - 6, 4 * m):
-        row = T[r]
-        assert np.count_nonzero(np.abs(row) > 1e-14) == 1
+    # the six boundary rows are the last ones, three per side; for the velocity
+    # condition they act on the three velocity values at that side's endpoint
+    # only, and determine all three
+    for side, e in enumerate((0, n)):
+        rows = T[4 * m - 6 + 3 * side:4 * m - 3 + 3 * side]
+        nodes = [j * m + e for j in range(3)]
+        assert not np.delete(rows, nodes, axis=1).any()
+        assert np.linalg.matrix_rank(rows[:, nodes]) == 3
 
 
 def test_stress_pair_singular_at_one():
@@ -176,6 +179,87 @@ def test_lambda_one_for_even_pairs():
 def test_window_must_be_bounded():
     with pytest.raises(ValueError):
         solve_spectrum(DihedronPencil(math.pi / 2, 0, 0), (1.0, 0.0))
+
+
+# -- the non-separable pairs --------------------------------------------------------
+
+_MIXED = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+_OPENINGS = (0.35, 0.9, 1.55)  # fractions of pi
+
+
+def _nonzero_spectrum(p):
+    spec = solve_spectrum(p, (0.0, 2.4), n=16)
+    return [(ev, m) for ev, m in zip(spec.eigenvalues, spec.multiplicities) if abs(ev) > 1e-3]
+
+
+@pytest.mark.parametrize("pair", _MIXED, ids="{0[0]}{0[1]}".format)
+def test_swapping_the_faces_keeps_the_spectrum(pair):
+    for f in _OPENINGS:
+        got = _nonzero_spectrum(DihedronPencil(f * math.pi, *pair))
+        swapped = _nonzero_spectrum(DihedronPencil(f * math.pi, *reversed(pair)))
+        assert [m for _, m in got] == [m for _, m in swapped], f
+        assert max(abs(a - b) for (a, _), (b, _) in zip(got, swapped)) <= 1e-8, f
+
+
+# Spectra in the strip 0 <= Re <= 2.4 at n = 16 without the zero eigenvalue.
+# They were computed with the boundary rows stated per Cartesian component,
+# an assembly independent of the frame-vector rows they now check.  A real
+# value is listed once per copy; a complex value stands for itself and its
+# conjugate.
+_PINNED = {
+    ((0, 1), 0.35): [1.0, 2.00402871316+0.51073261572j],
+    ((0, 1), 0.9): [
+        0.50252992037, 1.0, 1.11111111111, 1.2583329234, 1.48007750164, 2.22222222222],
+    ((0, 1), 1.55): [
+        0.31264490791, 0.64516129032, 0.66646053422, 0.93756036132, 1.0, 1.29032258065,
+        1.33394970631, 1.56120984179, 1.93548387097, 2.00405761454, 2.18207924486],
+    ((0, 2), 0.35): [1.0, 1.0, 1.42857142857],
+    ((0, 2), 0.9): [
+        0.55555555556, 0.62171044903, 1.0, 1.0, 1.66666666667,
+        1.92683674619+0.09193327557j],
+    ((0, 2), 1.55): [
+        0.32258064516, 0.33317094255, 0.6251981922, 0.96774193548, 1.0, 1.0,
+        1.24961419728, 1.61290322581, 1.66852647174, 1.87213853275, 2.25806451613,
+        2.34111014806],
+    ((0, 3), 0.35): [0.75619988998, 1.0, 1.42857142857, 2.32153215663+1.41998981386j],
+    ((0, 3), 0.9): [
+        0.50062087402, 0.55555555556, 0.62420692286, 1.0, 1.49662132414, 1.66666666667,
+        1.88682839258],
+    ((0, 3), 1.55): [
+        0.267641212, 0.32258064516, 0.40768876053, 0.78540569004, 0.96774193548, 1.0,
+        1.25169595877+0.14464635263j, 1.61290322581, 1.90295913626+0.25860486226j,
+        2.25806451613],
+    ((1, 3), 0.35): [1.0, 1.0, 1.42857142857],
+    ((1, 3), 0.9): [
+        0.55555555556, 0.62171044903, 1.0, 1.0, 1.66666666667,
+        1.92683674619+0.09193327557j],
+    ((1, 3), 1.55): [
+        0.32258064516, 0.33317094255, 0.6251981922, 0.96774193548, 1.0, 1.0,
+        1.24961419728, 1.61290322581, 1.66852647174, 1.87213853275, 2.25806451613,
+        2.34111014806],
+    ((2, 3), 0.35): [1.0, 2.00402871316+0.51073261572j],
+    ((2, 3), 0.9): [
+        0.50252992037, 1.0, 1.11111111111, 1.2583329234, 1.48007750164, 2.22222222222],
+    ((2, 3), 1.55): [
+        0.31264490791, 0.64516129032, 0.66646053422, 0.93756036132, 1.0, 1.29032258065,
+        1.33394970631, 1.56120984179, 1.93548387097, 2.00405761454, 2.18207924486],
+}
+
+
+def _sorted(values):
+    return sorted(values, key=lambda z: (round(z.real, 6), z.imag))
+
+
+@pytest.mark.parametrize("pair, f", [pytest.param(pair, f, id="%d%d-%g" % (*pair, f))
+                                     for pair, f in sorted(_PINNED)])
+def test_pinned_spectrum(pair, f):
+    got = [ev for ev, m in _nonzero_spectrum(DihedronPencil(f * math.pi, *pair))
+           for _ in range(m)]
+    want = [complex(v) for v in _PINNED[pair, f]]
+    want += [v.conjugate() for v in want if v.imag]
+    got, want = _sorted(got), _sorted(want)
+    assert len(got) == len(want)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8
 
 
 # -- exponent selection -------------------------------------------------------------

@@ -10,6 +10,9 @@ depend on the LAPACK build.
 Regenerate the file only for an intended, reviewed change of the reports:
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+It prints the name of every case whose digest differs from the file it
+replaces, so that a visible change can list them.
 """
 
 import contextlib
@@ -201,8 +204,17 @@ def test_golden_report(case, golden, no_qz):
 
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    try:
+        with open(GOLDEN, encoding="utf-8") as fh:
+            before = json.load(fh)
+    except FileNotFoundError:
+        before = {}
     out = {case: digest(fn()) for case, fn in sorted(CASES.items())}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print("%d digests written to %s" % (len(out), GOLDEN))
+    changed = sorted(c for c in out.keys() | before.keys() if out.get(c) != before.get(c))
+    for case in changed:
+        print(case)
+    print("%d digests written to %s, %d differ from the file they replace"
+          % (len(out), GOLDEN, len(changed)))
