@@ -232,11 +232,21 @@ def _cmd_pencil(args) -> int:
 
 
 def _parse_number(option: str, text: str):
-    """The exact rational ``text`` writes ('5/2', '3', '2.5'); errors name the option."""
+    """The exact rational ``text`` writes ('5/2', '3', '2.5'); errors name the option.
+
+    The reports print the number, so a numerator or denominator longer than
+    the interpreter's int-string limit is refused as well.
+    """
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError("%s: %r is not a number" % (option, text)) from None
+    try:
+        str(value)
+    except ValueError:
+        raise ValueError("%s: the number has more digits than the int-string limit"
+                         % option) from None
+    return value
 
 
 def _parse_weights(option: str, text: Optional[str]):

@@ -100,14 +100,14 @@ class Spectrum:
     carries a two-dimensional kernel).  ``unresolved`` lists window candidates
     that passed the residual test at the finer discretization but failed to
     reproduce under refinement; they are reported rather than silently
-    dropped.
+    dropped.  Every listed value passed that residual test; the residuals
+    themselves come from :func:`pencil_residuals`.
     """
 
     eigenvalues: Tuple[complex, ...]
     multiplicities: Tuple[int, ...]
     window: Tuple[float, float]
     n: int
-    residual_bound: float
     unresolved: Tuple[complex, ...] = ()
 
     def real_parts(self) -> np.ndarray:
@@ -264,19 +264,38 @@ def assemble_pencil(p: DihedronPencil, lam: complex, n: int) -> np.ndarray:
 
 
 def _residual(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray], lam: complex) -> float:
-    sv = svdvals(_evaluate(blocks, lam))
+    # T(conj lam) = conj T(lam) has the same singular values, so T is taken at
+    # the member with Im >= 0, and at a real lam in real arithmetic
+    lam = complex(lam)
+    sv = svdvals(_evaluate(blocks, lam.real if lam.imag == 0
+                           else complex(lam.real, abs(lam.imag))))
     return float(sv[-1] / sv[0])
 
 
+def _residuals(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray],
+               lams: Sequence[complex]) -> List[float]:
+    """:func:`_residual` at each of ``lams``, one SVD per conjugate pair."""
+    done = {}
+    for lam in lams:
+        key = (lam.real, abs(lam.imag))
+        if key not in done:
+            done[key] = _residual(blocks, lam)
+    return [done[lam.real, abs(lam.imag)] for lam in lams]
+
+
 def pencil_residual(p: DihedronPencil, lam: complex, n: int) -> float:
-    """Normalized smallest singular value of the discretized pencil."""
+    """Normalized smallest singular value of the discretized pencil.
+
+    A real ``lam`` is scored in real arithmetic, and ``lam`` and its conjugate
+    share one SVD.  Values below about 1e-15 are rounding noise: their digits
+    may differ between versions.
+    """
     return _residual(_blocks(p, n), lam)
 
 
 def pencil_residuals(p: DihedronPencil, lams: Sequence[complex], n: int) -> List[float]:
     """:func:`pencil_residual` at each of ``lams``, from one assembly."""
-    blocks = _blocks(p, n)
-    return [_residual(blocks, lam) for lam in lams]
+    return _residuals(_blocks(p, n), lams)
 
 
 _SHIFT_OFFSET = math.sqrt(2.0) / 100.0  # the shift sits this far above the window midpoint
@@ -339,7 +358,9 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     only where its lam^2 term acts, and solved by shift-invert from a shift
     near the window midpoint (:func:`_raw_eigenvalues`).  Reported
     eigenvalues must reproduce under n -> 2n within ``_STAB_TOL`` and have
-    normalized residual at 2n below ``_RES_TOL``.
+    normalized residual at 2n below ``_RES_TOL``.  A real candidate is scored
+    in real arithmetic, and a conjugate pair shares one SVD; residuals below
+    about 1e-15 are rounding noise whose digits may differ between versions.
     """
     re_lo, re_hi = window
     if not re_lo < re_hi or not np.isfinite(re_lo) or not np.isfinite(re_hi):
@@ -350,13 +371,10 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     sel = fine[(fine.real >= re_lo - 1e-12) & (fine.real <= re_hi + 1e-12)]
     kept: List[complex] = []
     unresolved: List[complex] = []
-    worst = 0.0
-    for lam in sel:
+    for lam, res in zip(sel, _residuals(fine_blocks, sel)):
         dist = np.abs(coarse - lam).min() if len(coarse) else np.inf
-        res = _residual(fine_blocks, complex(lam))
         if dist <= _STAB_TOL and res <= _RES_TOL:
             kept.append(complex(lam))
-            worst = max(worst, res)
         elif res <= _RES_TOL:
             unresolved.append(complex(lam))
     # cluster multiple copies of the same eigenvalue
@@ -369,7 +387,7 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
         else:
             values.append(lam)
             counts.append(1)
-    return Spectrum(tuple(values), tuple(counts), (re_lo, re_hi), n, worst,
+    return Spectrum(tuple(values), tuple(counts), (re_lo, re_hi), n,
                     tuple(sorted(unresolved, key=lambda z: (z.real, z.imag))))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -184,6 +185,17 @@ def test_analyze_non_finite_s_is_input_error(cube_file, capsys, text):
     assert main(["analyze", "--input", cube_file, "--target", "w1", "--s", text]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("input error: --s: %r" % text)
+
+
+@pytest.mark.parametrize("text", ["1e-10000",
+                                  "0." + "0" * (sys.get_int_max_str_digits() - 1) + "1"])
+def test_analyze_overlong_number_is_input_error(cube_file, capsys, text):
+    # the reports print every number: a denominator past the int-string limit
+    # is refused up front, not a traceback from the report text
+    assert main(["analyze", "--input", cube_file, "--target", "c1", "--sigma", text,
+                 "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: --sigma: ") and "int-string limit" in err
 
 
 def test_analyze_exist_without_velocity_edge_warns(tmp_path, capsys):

@@ -575,3 +575,48 @@ def test_shift_invert_matches_doubled_companion(pair, theta, hi, n, monkeypatch)
     for ev, m in got:
         near = min(want, key=lambda r: abs(r[0] - ev))
         assert abs(near[0] - ev) <= ep._STAB_TOL and near[1] == m, (ev, m, near)
+
+
+# -- the residual stage --------------------------------------------------------------
+
+def _complex_residuals(blocks, lams):
+    """Reference residuals: one complex SVD per candidate, as before real
+    candidates were scored in real arithmetic."""
+    out = []
+    for lam in lams:
+        sv = scipy.linalg.svdvals(ep._evaluate(blocks, complex(lam)))
+        out.append(float(sv[-1] / sv[0]))
+    return out
+
+
+@pytest.mark.parametrize("theta", [f * math.pi for f in (0.1, 0.35, 0.5, 1.0, 1.55, 1.9)])
+@pytest.mark.parametrize("pair", [(a, b) for a in range(4) for b in range(a, 4)])
+def test_real_residuals_keep_the_decisions(pair, theta, monkeypatch):
+    p, window = DihedronPencil(theta, *pair), (0.0, max(2.4, math.pi / theta + 0.8))
+    raw, svd_inputs = [], []
+    real_raw, real_svdvals = ep._raw_eigenvalues, ep.svdvals
+
+    def recording_raw(blocks, win):
+        raw.append(real_raw(blocks, win))
+        return raw[-1]
+
+    def counting_svdvals(a, *args, **kwargs):
+        svd_inputs.append(a.dtype)
+        return real_svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(ep, "_raw_eigenvalues", recording_raw)
+    monkeypatch.setattr(ep, "svdvals", counting_svdvals)
+    spec = solve_spectrum(p, window, n=16)
+    fine = raw[-1]
+    sel = fine[(fine.real >= window[0] - 1e-12) & (fine.real <= window[1] + 1e-12)]
+    upper = {complex(z) for z in sel if z.imag > 0}
+    assert {complex(z).conjugate() for z in sel if z.imag < 0} == upper
+    assert svd_inputs.count(np.float64) == len({z.real for z in sel if z.imag == 0})
+    assert svd_inputs.count(np.complex128) == len(upper)  # one SVD per conjugate pair
+    assert len(svd_inputs) == len({(z.real, abs(z.imag)) for z in sel})
+
+    monkeypatch.setattr(ep, "_residuals", _complex_residuals)
+    ref = solve_spectrum(p, window, n=16)
+    assert spec.eigenvalues == ref.eigenvalues
+    assert spec.multiplicities == ref.multiplicities
+    assert spec.unresolved == ref.unresolved
