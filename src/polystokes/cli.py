@@ -231,21 +231,28 @@ def _cmd_pencil(args) -> int:
     return 0
 
 
+_ECHO = 24  # longer option values are echoed as a prefix and their length
+
+
 def _parse_number(option: str, text: str):
     """The exact rational ``text`` writes ('5/2', '3', '2.5'); errors name the option.
 
     The reports print the number, so a numerator or denominator longer than
-    the interpreter's int-string limit is refused as well.
+    the interpreter's int-string limit is refused as well, whether the digit
+    string itself exceeds it or only the reduced fraction does ('1e-10000').
     """
     try:
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("%s: %r is not a number" % (option, text)) from None
-    try:
         str(value)
-    except ValueError:
-        raise ValueError("%s: the number has more digits than the int-string limit"
-                         % option) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        if "integer string conversion" in str(exc):
+            reason = "has more digits than the int-string limit (%d)" % (
+                sys.get_int_max_str_digits())
+        else:
+            reason = "is not a number"
+        shown = repr(text) if len(text) <= _ECHO else "%r... (%d characters)" % (
+            text[:_ECHO], len(text))
+        raise ValueError("%s: %s %s" % (option, shown, reason)) from None
     return value
 
 

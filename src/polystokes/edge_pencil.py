@@ -23,6 +23,12 @@ Two routes to the eigenvalues are provided and cross-checked:
   companion unknown only for the interior velocity nodes, where the lam^2
   term acts), solved by shift-invert from a shift near the window midpoint,
   and filtered by refinement stability plus a normalized pencil residual.
+
+The pencil splits exactly into the plane Stokes problem for (u_x, u_y, p)
+and the antiplane Laplace problem for u_z (Dauge, SIAM J. Math. Anal. 20,
+1989): the z-momentum rows and each side's e_z boundary row act on u_z
+only, and no other row acts on u_z.  The solver works on the two diagonal
+blocks separately.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, eig, lu_factor, lu_solve, svdvals
@@ -186,8 +192,22 @@ def _cheb(n: int) -> Tuple[np.ndarray, np.ndarray]:
 _VELOCITY_TRACES = {0: "nrz", 1: "rz", 2: "n", 3: ""}
 
 
-def _blocks(p: DihedronPencil, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-scaled coefficient matrices (A, B, C) of T(lam) = A + lam B + lam^2 C."""
+_Coefficients = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class _Collocation(NamedTuple):
+    """The row-scaled coefficients (A, B, C) of T(lam) = A + lam B + lam^2 C
+    (``full``), the (rows, columns) of its plane block in (u_x, u_y, p) and of
+    its antiplane block in u_z (``split``), and the coefficients of each of
+    those diagonal blocks (``blocks``).  No entry outside them is nonzero."""
+
+    full: _Coefficients
+    split: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    blocks: Tuple[_Coefficients, ...]
+
+
+def _blocks(p: DihedronPencil, n: int) -> _Collocation:
+    """The collocated pencil, split as its rows are built (:class:`_Collocation`)."""
     if n < 8:
         raise ValueError("collocation size must be at least 8")
     D1, x = _cheb(n)
@@ -218,8 +238,11 @@ def _blocks(p: DihedronPencil, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarr
         B[r, cols.start + k] += coef * w_r
 
     r = 0
+    antiplane = []  # the rows of the z-momentum and e_z boundary conditions
     # momentum -nu (d^2/dphi^2 + lam^2) u_i + d/dx_i p at interior nodes
     for i in range(3):
+        if i == 2:
+            antiplane.extend(range(r, r + n - 1))
         for k in range(1, n):
             A[r, U[i]] -= nu * D2[k, :]
             C[r, U[i].start + k] -= nu
@@ -235,6 +258,8 @@ def _blocks(p: DihedronPencil, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarr
         normal = np.array([-sgn * sin[e], sgn * cos[e], 0.0])
         frame = {"n": normal, "r": np.array([cos[e], sin[e], 0.0]), "z": axes[2]}
         for key, v in frame.items():
+            if key == "z":
+                antiplane.append(r)
             if key in _VELOCITY_TRACES[d]:
                 for j in range(3):
                     A[r, U[j].start + e] = v[j]
@@ -250,45 +275,50 @@ def _blocks(p: DihedronPencil, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     A /= scale[:, None]
     B /= scale[:, None]
     C /= scale[:, None]
-    return A, B, C
+    z_cols = np.arange(U[2].start, U[2].stop)
+    split = ((np.delete(np.arange(size), antiplane), np.delete(np.arange(size), z_cols)),
+             (np.array(antiplane), z_cols))
+    blocks = tuple(tuple(X[np.ix_(rows, cols)] for X in (A, B, C)) for rows, cols in split)
+    return _Collocation((A, B, C), split, blocks)
 
 
-def _evaluate(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray], lam: complex) -> np.ndarray:
-    A, B, C = blocks
+def _evaluate(coefficients: _Coefficients, lam: complex) -> np.ndarray:
+    A, B, C = coefficients
     return A + lam * B + lam ** 2 * C
 
 
 def assemble_pencil(p: DihedronPencil, lam: complex, n: int) -> np.ndarray:
     """Dense discretization of the pencil at a fixed spectral parameter."""
-    return _evaluate(_blocks(p, n), lam)
+    return _evaluate(_blocks(p, n).full, lam)
 
 
-def _residual(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray], lam: complex) -> float:
-    # T(conj lam) = conj T(lam) has the same singular values, so T is taken at
-    # the member with Im >= 0, and at a real lam in real arithmetic
+def _residual(pencil: _Collocation, lam: complex) -> float:
+    # the singular values of T(lam) are those of its two diagonal blocks;
+    # T(conj lam) = conj T(lam) has the same ones, so T is taken at the member
+    # with Im >= 0, and at a real lam in real arithmetic
     lam = complex(lam)
-    sv = svdvals(_evaluate(blocks, lam.real if lam.imag == 0
-                           else complex(lam.real, abs(lam.imag))))
-    return float(sv[-1] / sv[0])
+    lam = lam.real if lam.imag == 0 else complex(lam.real, abs(lam.imag))
+    sv = [svdvals(_evaluate(block, lam)) for block in pencil.blocks]
+    return float(min(s[-1] for s in sv) / max(s[0] for s in sv))
 
 
-def _residuals(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray],
-               lams: Sequence[complex]) -> List[float]:
-    """:func:`_residual` at each of ``lams``, one SVD per conjugate pair."""
+def _residuals(pencil: _Collocation, lams: Sequence[complex]) -> List[float]:
+    """:func:`_residual` at each of ``lams``, once per conjugate pair."""
     done = {}
     for lam in lams:
         key = (lam.real, abs(lam.imag))
         if key not in done:
-            done[key] = _residual(blocks, lam)
+            done[key] = _residual(pencil, lam)
     return [done[lam.real, abs(lam.imag)] for lam in lams]
 
 
 def pencil_residual(p: DihedronPencil, lam: complex, n: int) -> float:
     """Normalized smallest singular value of the discretized pencil.
 
-    A real ``lam`` is scored in real arithmetic, and ``lam`` and its conjugate
-    share one SVD.  Values below about 1e-15 are rounding noise: their digits
-    may differ between versions.
+    The singular values are those of its plane and antiplane blocks, one SVD
+    each.  A real ``lam`` is scored in real arithmetic, and ``lam`` and its
+    conjugate share those SVDs.  Values below about 1e-15 are rounding noise:
+    their digits may differ between versions.
     """
     return _residual(_blocks(p, n), lam)
 
@@ -309,9 +339,8 @@ def _shift(window: Tuple[float, float]) -> float:
     return 0.5 * (window[0] + window[1]) + _SHIFT_OFFSET
 
 
-def _raw_eigenvalues(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                     window: Tuple[float, float]) -> np.ndarray:
-    """Finite eigenvalues of the compact linearization, by shift-invert.
+def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> np.ndarray:
+    """Finite eigenvalues of one diagonal block's compact linearization.
 
     Only the interior velocity unknowns, the columns where C is nonzero, get
     a companion w = lam u: L z = lam M z with L = [[A, 0], [0, I]] and
@@ -321,7 +350,7 @@ def _raw_eigenvalues(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray],
     shift that hits the spectrum (a zero pivot, or a computed eigenvalue
     within ``_SHIFT_GAP``) is moved by ``_SHIFT_STEP`` of the window width.
     """
-    A, B, C = blocks
+    A, B, C = coefficients
     cols = np.flatnonzero(C.any(axis=0))
     size, k = A.shape[0], len(cols)
     L = np.zeros((size + k, size + k))
@@ -350,28 +379,41 @@ def _raw_eigenvalues(blocks: Tuple[np.ndarray, np.ndarray, np.ndarray],
     raise WindowError("every shift tried in the window lies on the spectrum")
 
 
+def _raw_eigenvalues(pencil: _Collocation, window: Tuple[float, float]) -> np.ndarray:
+    """Finite eigenvalues of the collocated pencil: those of the plane Stokes
+    block and those of the antiplane Laplace block, into which the pencil
+    splits exactly (Dauge 1989), each found by its own shift-invert solve
+    (:func:`_shift_invert`) with its own shift moves.  At n = 64 the two
+    linearizations have sizes 321 and 128; one of the whole pencil would
+    have size 449.
+    """
+    return np.concatenate([_shift_invert(block, window) for block in pencil.blocks])
+
+
 def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
                    n: int = 32) -> Spectrum:
     """Eigenvalues of the pencil in a strip re_lo <= Re <= re_hi.
 
-    The quadratic pencil is linearized compactly, with companion unknowns
-    only where its lam^2 term acts, and solved by shift-invert from a shift
-    near the window midpoint (:func:`_raw_eigenvalues`).  Reported
+    The pencil splits into the plane Stokes block and the antiplane Laplace
+    block (Dauge 1989).  Each is linearized compactly, with companion
+    unknowns only where its lam^2 term acts, and solved by shift-invert from
+    a shift near the window midpoint (:func:`_raw_eigenvalues`).  Reported
     eigenvalues must reproduce under n -> 2n within ``_STAB_TOL`` and have
-    normalized residual at 2n below ``_RES_TOL``.  A real candidate is scored
-    in real arithmetic, and a conjugate pair shares one SVD; residuals below
+    normalized residual at 2n below ``_RES_TOL``: the smallest singular value
+    of the two blocks over their largest.  A real candidate is scored in real
+    arithmetic, and a conjugate pair shares one SVD per block; residuals below
     about 1e-15 are rounding noise whose digits may differ between versions.
     """
     re_lo, re_hi = window
     if not re_lo < re_hi or not np.isfinite(re_lo) or not np.isfinite(re_hi):
         raise ValueError("window must be a bounded strip")
     coarse = _raw_eigenvalues(_blocks(p, n), window)
-    fine_blocks = _blocks(p, 2 * n)
-    fine = _raw_eigenvalues(fine_blocks, window)
+    fine_pencil = _blocks(p, 2 * n)
+    fine = _raw_eigenvalues(fine_pencil, window)
     sel = fine[(fine.real >= re_lo - 1e-12) & (fine.real <= re_hi + 1e-12)]
     kept: List[complex] = []
     unresolved: List[complex] = []
-    for lam, res in zip(sel, _residuals(fine_blocks, sel)):
+    for lam, res in zip(sel, _residuals(fine_pencil, sel)):
         dist = np.abs(coarse - lam).min() if len(coarse) else np.inf
         if dist <= _STAB_TOL and res <= _RES_TOL:
             kept.append(complex(lam))

@@ -198,6 +198,18 @@ def test_analyze_overlong_number_is_input_error(cube_file, capsys, text):
     assert out == "" and err.startswith("input error: --sigma: ") and "int-string limit" in err
 
 
+def test_analyze_overlong_decimal_is_echoed_short(cube_file, capsys):
+    # a digit string past the limit fails inside Fraction itself: the message
+    # names the limit and echoes a prefix and the length, not the whole text
+    text = "0." + "0" * 4400 + "1"
+    assert main(["analyze", "--input", cube_file, "--target", "c1", "--sigma", text]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err) < 200
+    assert err.startswith("input error: --sigma: '0.000")
+    assert "(%d characters)" % len(text) in err
+    assert "int-string limit (%d)" % sys.get_int_max_str_digits() in err
+
+
 def test_analyze_exist_without_velocity_edge_warns(tmp_path, capsys):
     cube = fx.cube()
     path = tmp_path / "slip.domain"

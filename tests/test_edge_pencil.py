@@ -120,6 +120,45 @@ def test_third_component_decouples():
         assert np.max(np.abs(T[rows_div][:, u3])) == 0.0
 
 
+@pytest.mark.parametrize("n", (8, 16, 32))
+def test_plane_and_antiplane_blocks_decouple(n):
+    # the split named by the assembly is exact: nothing outside the two
+    # diagonal blocks is nonzero, and their singular values give the
+    # residual of the whole matrix
+    size = 4 * (n + 1)
+    for pair in ((a, b) for a in range(4) for b in range(4)):
+        for f in (0.1, 0.6, 1.0, 1.45, 1.9):
+            p = DihedronPencil(f * math.pi, *pair)
+            pencil = ep._blocks(p, n)
+            (rows, cols), (z_rows, z_cols) = pencil.split
+            assert sorted(np.r_[rows, z_rows]) == list(range(size))
+            assert sorted(np.r_[cols, z_cols]) == list(range(size))
+            assert len(z_rows) == len(z_cols) == n + 1
+            for X in pencil.full:
+                assert not X[np.ix_(rows, z_cols)].any() and not X[np.ix_(z_rows, cols)].any()
+            for lam in (0.37, 1.0, 0.731 + 0.2j, 2.1 - 0.4j):
+                sv = scipy.linalg.svdvals(assemble_pencil(p, lam, n))
+                assert abs(pencil_residual(p, lam, n) - sv[-1] / sv[0]) <= 1e-14, (pair, f, lam)
+
+
+@pytest.mark.parametrize("theta", [f * math.pi for f in (0.1, 0.35, 0.9, 1.55, 1.9)])
+def test_antiplane_block_is_the_closed_form(theta):
+    # u_z solves the Laplace problem: Dirichlet on a side that carries the
+    # velocity trace along e_z (d = 0, 1), Neumann on the others (d = 2, 3).
+    # Equal kinds give {k pi/theta}, mixed ones {(k + 1/2) pi/theta}.
+    hi = 3.25 * math.pi / theta  # a quarter step off the nearest values
+    for pair in ((a, b) for a in range(4) for b in range(4)):
+        assert [("z" in ep._VELOCITY_TRACES[d]) for d in pair] == [d < 2 for d in pair]
+        half = 0.5 if (pair[0] < 2) != (pair[1] < 2) else 0.0
+        want = [(k + half) * math.pi / theta for k in range(4)]
+        want = [v for v in want if ep._RE_MIN < v <= hi]
+        antiplane = ep._blocks(DihedronPencil(theta, *pair), 32).blocks[1]
+        lam = ep._shift_invert(antiplane, (0.0, hi))
+        got = np.sort_complex(lam[(lam.real > ep._RE_MIN) & (lam.real <= hi)])
+        assert len(got) == len(want), (pair, got, want)
+        assert np.max(np.abs(got - want)) <= ep._STAB_TOL, (pair, got, want)
+
+
 def test_minimum_collocation_size():
     with pytest.raises(ValueError):
         assemble_pencil(DihedronPencil(math.pi / 2, 0, 0), 1.0, 4)
@@ -449,9 +488,10 @@ def test_separable_exact_on_the_grid():
 
 # -- the shift-invert eigensolve ----------------------------------------------------
 
-def _doubled_companion(blocks, window):
-    """Reference eigenvalues: QZ on the companion pencil of doubled size."""
-    A, B, C = blocks
+def _doubled_companion(pencil, window):
+    """Reference eigenvalues: QZ on the companion pencil of doubled size, of
+    the whole coupled matrices rather than of the plane and antiplane blocks."""
+    A, B, C = pencil.full
     I, Z = np.eye(A.shape[0]), np.zeros_like(A)
     w = scipy.linalg.eig(np.block([[A, B], [Z, I]]), np.block([[Z, -C], [I, Z]]), right=False)
     return w[np.isfinite(w)]
@@ -506,12 +546,14 @@ def test_shift_on_an_eigenvalue_moves(pair, theta, eig_calls):
         assert expected[1.0] == 2
     sigma = ep._shift((0.0, 2.4))
     if any(abs(v - sigma) < 1e-12 for v in expected):
-        assert len(eig_calls) > 2  # the guard fired on both sizes
+        # without a collision: one eigensolve per block and size, so 4
+        assert len(eig_calls) > 4
 
 
 def test_one_eigensolve_per_size(eig_calls):
+    # one per block (plane and antiplane) and size (n and 2n)
     solve_spectrum(DihedronPencil(1.3 * math.pi, 1, 3), (0.0, 2.4), n=16)
-    assert len(eig_calls) == 2
+    assert len(eig_calls) == 4
 
 
 def _zero_pivots(count):
@@ -533,7 +575,8 @@ def test_zero_pivot_moves_the_shift(monkeypatch, eig_calls):
     base = solve_spectrum(p, (0.0, 2.4), n=16)
     monkeypatch.setattr(ep, "lu_factor", _zero_pivots(1))
     moved = solve_spectrum(p, (0.0, 2.4), n=16)
-    assert len(eig_calls) == 4  # two per solve: no eigensolve follows a zero pivot
+    # four per solve, one per block and size: no eigensolve follows a zero pivot
+    assert len(eig_calls) == 8
     assert len(moved.eigenvalues) == len(base.eigenvalues)
     assert max(abs(a - b) for a, b in zip(moved.eigenvalues, base.eigenvalues)) <= ep._STAB_TOL
     monkeypatch.setattr(ep, "lu_factor", _zero_pivots(ep._SHIFT_MOVES + 1))
@@ -579,12 +622,13 @@ def test_shift_invert_matches_doubled_companion(pair, theta, hi, n, monkeypatch)
 
 # -- the residual stage --------------------------------------------------------------
 
-def _complex_residuals(blocks, lams):
-    """Reference residuals: one complex SVD per candidate, as before real
-    candidates were scored in real arithmetic."""
+def _complex_residuals(pencil, lams):
+    """Reference residuals: one complex SVD of the whole coupled matrix per
+    candidate, as before the split and before real candidates were scored in
+    real arithmetic."""
     out = []
     for lam in lams:
-        sv = scipy.linalg.svdvals(ep._evaluate(blocks, complex(lam)))
+        sv = scipy.linalg.svdvals(ep._evaluate(pencil.full, complex(lam)))
         out.append(float(sv[-1] / sv[0]))
     return out
 
@@ -596,8 +640,8 @@ def test_real_residuals_keep_the_decisions(pair, theta, monkeypatch):
     raw, svd_inputs = [], []
     real_raw, real_svdvals = ep._raw_eigenvalues, ep.svdvals
 
-    def recording_raw(blocks, win):
-        raw.append(real_raw(blocks, win))
+    def recording_raw(pencil, win):
+        raw.append(real_raw(pencil, win))
         return raw[-1]
 
     def counting_svdvals(a, *args, **kwargs):
@@ -611,9 +655,11 @@ def test_real_residuals_keep_the_decisions(pair, theta, monkeypatch):
     sel = fine[(fine.real >= window[0] - 1e-12) & (fine.real <= window[1] + 1e-12)]
     upper = {complex(z) for z in sel if z.imag > 0}
     assert {complex(z).conjugate() for z in sel if z.imag < 0} == upper
-    assert svd_inputs.count(np.float64) == len({z.real for z in sel if z.imag == 0})
-    assert svd_inputs.count(np.complex128) == len(upper)  # one SVD per conjugate pair
-    assert len(svd_inputs) == len({(z.real, abs(z.imag)) for z in sel})
+    # one SVD per block (plane and antiplane), per real candidate and per
+    # conjugate pair
+    assert svd_inputs.count(np.float64) == 2 * len({z.real for z in sel if z.imag == 0})
+    assert svd_inputs.count(np.complex128) == 2 * len(upper)
+    assert len(svd_inputs) == 2 * len({(z.real, abs(z.imag)) for z in sel})
 
     monkeypatch.setattr(ep, "_residuals", _complex_residuals)
     ref = solve_spectrum(p, window, n=16)
