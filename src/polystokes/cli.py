@@ -79,7 +79,7 @@ def _step_bound(target: str) -> float:
 
 
 def _numeric_root(theta: float, d_plus: int, d_minus: int, n: int) -> float:
-    return mu_numeric(theta, d_plus, d_minus, n=max(n, 8)).value
+    return mu_numeric(theta, d_plus, d_minus, n=n).value
 
 
 def _table_endpoint(row_id: str):
@@ -204,6 +204,9 @@ def _cmd_pencil(args) -> int:
         theta = parse_theta(args.theta)
         d_plus, d_minus = (int(x) for x in args.bc.split(","))
         lo, hi = (float(x) for x in args.window.split(","))
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError("--window %r is not a finite strip 'lo,hi' with lo < hi"
+                             % args.window)
         pencil = DihedronPencil(theta, d_plus, d_minus)
     except (ValueError, TypeError) as exc:
         print("argument error: %s" % exc, file=sys.stderr)
@@ -231,6 +234,7 @@ def _cmd_pencil(args) -> int:
     return 0
 
 
+_MIN_N = 8  # the smallest collocation size the pencil solver accepts
 _ECHO = 24  # longer option values are echoed as a prefix and their length
 
 
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="mesh validation tolerance; an edge opening this close to a multiple "
                          "of pi/24, the 2/3-threshold angle or its half snaps to it")
     pa.add_argument("--format", default="text", choices=("text", "json"))
-    pa.set_defaults(func=_cmd_analyze)
+    pa.set_defaults(func=_cmd_analyze, error="input error")
 
     pp = sub.add_parser("pencil", help="spectrum of the wedge pencil in a strip")
     pp.add_argument("--theta", required=True, help="opening angle ('1.5*pi' or radians)")
@@ -383,17 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--window", default="0,2", help="strip 'relo,rehi'")
     pp.add_argument("--n", type=int, default=32)
     pp.add_argument("--format", default="text", choices=("text", "json"))
-    pp.set_defaults(func=_cmd_pencil)
+    pp.set_defaults(func=_cmd_pencil, error="argument error")
 
     pv = sub.add_parser("verify-paper", help="reproduce the published numbers")
     pv.add_argument("--n", type=int, default=32)
     pv.add_argument("--format", default="text", choices=("text", "json"))
-    pv.set_defaults(func=_cmd_verify_paper)
+    pv.set_defaults(func=_cmd_verify_paper, error="argument error")
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.n < _MIN_N:
+        print("%s: --n %d is below the smallest collocation size %d"
+              % (args.error, args.n, _MIN_N), file=sys.stderr)
+        return 1
     return args.func(args)
 
 

@@ -9,6 +9,8 @@ dihedral angle and no further mesh data is needed.
 Angles are always reported as measured inside the fluid.  An opening within
 ``tol`` of a special opening is stored as exactly that float, so threshold
 comparisons downstream are exact and no rigid motion moves one across.
+Snapping never enters the vertex-cone predicate, which recomputes the angles
+it needs from the face normals.
 """
 
 from __future__ import annotations
@@ -101,8 +103,9 @@ class VertexCone:
     ``contained_in_half_space``: the cone boundary (the incident face sectors)
     lies in a closed half-space through the vertex, up to a margin of
     ``_SUPPORT_TOL``, and the fluid lies on that half-space's side.  Both
-    parts are decided from the face geometry alone, so the answer does not
-    depend on how the domain is placed in space.
+    parts read only the faces at the vertex (their sectors and the unsnapped
+    dihedral angles of their edges), so the answer depends neither on how
+    the domain is placed in space nor on faces away from the vertex.
     """
 
     vertex: int
@@ -203,6 +206,11 @@ class Polyhedron:
                 raise MeshError("face %d repeats a vertex" % k)
             if any(i < 0 or i >= n for i in loop):
                 raise MeshError("face %d references an unknown vertex" % k)
+        # a loop names each of its vertices once, so this counts incident faces
+        counts = np.bincount([i for loop in self.faces for i in loop], minlength=n)
+        few = np.flatnonzero(counts < 3)
+        if len(few):
+            raise MeshError("vertex %d has fewer than 3 incident faces" % few[0])
 
     @property
     def _diag(self) -> float:
@@ -314,17 +322,23 @@ class Polyhedron:
         if vertex in self._cone_cache:
             return self._cone_cache[vertex]
         faces = self.incident_faces(vertex)
-        if len(faces) < 3:
-            raise MeshError("vertex %d has fewer than 3 incident faces" % vertex)
         gens = self._sector_generators(vertex, faces)
         w = _supporting_normal(gens)
         contained = w is not None
         if contained and (gens @ w).max() > _SUPPORT_TOL:
             # the open half-space w . x < 0 misses the boundary, so it is all
-            # fluid or all solid; one winding number at distance eps decides
-            # (a boundary flat on the plane leaves a half-space on either side)
-            probe = self.vertices[vertex] - 1e-4 * self._diag * w
-            contained = bool(self._winding(probe[None, :])[0] > 0.5) == self.complement
+            # fluid or all solid (a boundary flat on the plane leaves a
+            # half-space on either side): all solid exactly when the fluid's
+            # solid angle at the vertex is below 2*pi.  If the incident faces
+            # form one fan around the vertex, Girard's theorem on the unit
+            # sphere gives that angle as sum(theta_e) - (k - 2)*pi over the k
+            # incident edges, theta_e the fluid dihedral angles, so the test
+            # is sum(theta_e) < k*pi.  The angles are recomputed unsnapped:
+            # near a flat vertex all of them may snap to exactly pi.
+            edges = self.incident_edges(vertex)
+            solid = [self._solid_dihedral(*e.endpoints, *e.adjacent_faces) for e in edges]
+            fluid = sum(2 * math.pi - t if self.complement else t for t in solid)
+            contained = fluid < len(edges) * math.pi
         cone = VertexCone(vertex, self.face_normals[list(faces)], contained)
         self._cone_cache[vertex] = cone
         return cone
@@ -351,33 +365,9 @@ class Polyhedron:
             out += [a, math.cos(ang / 2) * a + math.sin(ang / 2) * np.cross(nf, a)]
         return np.array(out)
 
-    def _winding(self, pts: np.ndarray) -> np.ndarray:
-        """Generalized winding number of the closed surface at each point."""
-        total = np.zeros(len(pts))
-        for loop in self.faces:
-            poly = self.vertices[list(loop)]
-            for i in range(1, len(loop) - 1):
-                total += _triangle_solid_angle(poly[0], poly[i], poly[i + 1], pts)
-        return total / (4 * math.pi)
-
     def __repr__(self):
         return "Polyhedron(name=%r, V=%d, E=%d, F=%d, complement=%r)" % (
             self.name, len(self.vertices), len(self.edges), len(self.faces), self.complement)
-
-
-def _triangle_solid_angle(a, b, c, pts: np.ndarray) -> np.ndarray:
-    """Signed solid angle of triangle (a, b, c) seen from each point."""
-    ra = a[None, :] - pts
-    rb = b[None, :] - pts
-    rc = c[None, :] - pts
-    la = np.linalg.norm(ra, axis=1)
-    lb = np.linalg.norm(rb, axis=1)
-    lc = np.linalg.norm(rc, axis=1)
-    num = np.einsum("ij,ij->i", ra, np.cross(rb, rc))
-    den = (la * lb * lc + np.einsum("ij,ij->i", ra, rb) * lc
-           + np.einsum("ij,ij->i", ra, rc) * lb
-           + np.einsum("ij,ij->i", rb, rc) * la)
-    return 2.0 * np.arctan2(num, den)
 
 
 def graph_direction_feasible(normals: np.ndarray, tol: float = 1e-9) -> bool:

@@ -48,7 +48,30 @@ def test_pencil_stress_pair_shares_root(capsys):
 
 
 def test_pencil_rejects_zero_angle(capsys):
-    assert main(["pencil", "--theta", "0", "--bc", "0,0"]) == 1
+    cases = ([["--theta", "0"]]
+             + [["--window", w] for w in ("2,1", "1,1", "0,inf", "nan,1")]
+             + [["--n", "4"]])
+    for extra in cases:
+        assert main(["pencil", "--theta", "pi/2", "--bc", "0,0"] + extra) == 1, extra
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("argument error: "), extra
+
+
+def test_analyze_rejects_small_collocation(tmp_path, capsys):
+    # slip on five faces and stress on the top: a pair that takes the solver
+    cube = fx.cube()
+    path = tmp_path / "slip-stress.domain"
+    bc = fx.with_conditions(cube, 2, {fx.top_face(cube): 3})
+    path.write_text(fx.domain_document(cube, bc))
+    assert main(["analyze", "--input", str(path), "--n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: --n 4 ")
+
+
+def test_verify_paper_rejects_small_collocation(capsys):
+    assert main(["verify-paper", "--n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("argument error: --n 4 ")
 
 
 def test_analyze_text(step_file, capsys):
@@ -94,16 +117,31 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 
 def test_analyze_bad_mesh_diagnostic(tmp_path, capsys):
-    bad = tmp_path / "degenerate.domain"
-    bad.write_text(
+    degenerate = (
         "vertices: [[0,0,0],[1,0,0],[0,1,0],[0,0,1]]\n"
         "faces:\n"
         "  - {loop: [0, 1], bc: dirichlet}\n"
         "  - {loop: [0, 1, 2], bc: dirichlet}\n"
         "  - {loop: [0, 2, 3], bc: dirichlet}\n"
         "  - {loop: [1, 3, 2], bc: dirichlet}\n")
-    assert main(["analyze", "--input", str(bad)]) == 1
-    assert "degenerate" in capsys.readouterr().err
+    # a unit cube with an extra vertex at (0.5, 0, 0) in its bottom and front loops
+    two_faced = (
+        "vertices: [[0,0,0],[1,0,0],[1,1,0],[0,1,0],"
+        "[0,0,1],[1,0,1],[1,1,1],[0,1,1],[0.5,0,0]]\n"
+        "faces:\n"
+        "  - {loop: [0, 3, 2, 1, 8], bc: dirichlet}\n"
+        "  - {loop: [4, 5, 6, 7], bc: dirichlet}\n"
+        "  - {loop: [0, 8, 1, 5, 4], bc: dirichlet}\n"
+        "  - {loop: [3, 7, 6, 2], bc: dirichlet}\n"
+        "  - {loop: [0, 4, 7, 3], bc: dirichlet}\n"
+        "  - {loop: [1, 2, 6, 5], bc: dirichlet}\n")
+    for text, message in ((degenerate, "degenerate"),
+                          (two_faced, "vertex 8 has fewer than 3 incident faces")):
+        bad = tmp_path / "bad.domain"
+        bad.write_text(text)
+        assert main(["analyze", "--input", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and message in err
 
 
 def test_fixture_rows_closed_form_fast():

@@ -191,16 +191,23 @@ def test_flat_vertex_is_contained_on_both_sides(cube):
 def test_cone_predicate_invariant_under_rotation(step):
     # the reentrant corners have a zero-margin supporting plane (the top and
     # bottom faces); the verdict must not depend on how the prism is placed
+    # or how large it is
     rng = np.random.default_rng(2024)
     base = [step.vertex_cone(v).contained_in_half_space
             for v in range(len(step.vertices))]
     assert all(base)
+
+    def moved(poly):
+        # a rotation, a uniform scaling and a translation
+        verts = poly.vertices @ rotation(rng).T * rng.uniform(0.2, 5) + rng.normal(size=3)
+        return Polyhedron(verts, poly.faces, complement=poly.complement)
+
     for _ in range(10):
-        moved = Polyhedron(step.vertices @ rotation(rng).T, step.faces)
-        got = [moved.vertex_cone(v).contained_in_half_space
-               for v in range(len(moved.vertices))]
+        moved_step = moved(step)
+        got = [moved_step.vertex_cone(v).contained_in_half_space
+               for v in range(len(moved_step.vertices))]
         assert got == base
-        rep = max_s(ProblemSpec(moved, fx.with_conditions(moved, 0)), "W1")
+        rep = max_s(ProblemSpec(moved_step, fx.with_conditions(moved_step, 0)), "W1")
         assert str(rep.s_interval) == "(2, 4.39062)"
     # every report of every shipped domain is byte-identical under rotation:
     # openings at pi/2 and 3*pi/2 snap back onto their thresholds
@@ -221,9 +228,7 @@ def test_cone_predicate_invariant_under_rotation(step):
         for kind in ("navier-stokes", "stokes"):
             base = reports(poly, bc, bounds, kind)
             for _ in range(10):
-                moved = Polyhedron(poly.vertices @ rotation(rng).T, poly.faces,
-                                   complement=poly.complement)
-                assert reports(moved, bc, bounds, kind) == base, (path, kind)
+                assert reports(moved(poly), bc, bounds, kind) == base, (path, kind)
 
 
 def test_slip_top_verdict_pinned_under_rotation(cube):
@@ -257,11 +262,74 @@ def test_opening_snaps_within_tol():
     assert wedge_prism(theta, complement=True).edges[0].theta == 1.5 * math.pi
 
 
+def box_union(xs, ys, zs, boxes, **kw):
+    """The union of axis-aligned boxes, meshed as the boundary quads of the
+    grid cells xs x ys x zs that some box (lo, hi corners) covers."""
+    grid = (xs, ys, zs)
+    shape = tuple(len(g) - 1 for g in grid)
+    full = np.zeros(shape, dtype=bool)
+    for lo, hi in boxes:
+        full[tuple(slice(g.index(a), g.index(b)) for g, a, b in zip(grid, lo, hi))] = True
+    index, faces = {}, []
+    for cell in np.ndindex(*shape):
+        if not full[cell]:
+            continue
+        for a in range(3):
+            b, c = (a + 1) % 3, (a + 2) % 3
+            for side in (0, 1):
+                nb = list(cell)
+                nb[a] += 2 * side - 1
+                if 0 <= nb[a] < shape[a] and full[tuple(nb)]:
+                    continue
+                loop = []
+                for db, dc in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                    ijk = list(cell)
+                    ijk[a] += side
+                    ijk[b] += db
+                    ijk[c] += dc
+                    loop.append(index.setdefault(tuple(ijk), len(index)))
+                faces.append(loop if side else loop[::-1])
+    verts = [[grid[a][ijk[a]] for a in range(3)] for ijk in index]
+    return Polyhedron(verts, faces, **kw)
+
+
+def test_cone_side_is_decided_at_the_vertex():
+    # a C-shaped solid: a lower jaw, an upper slab 0.001 above it and a post
+    # joining them.  The jaw's tip corner is a plain octant corner, whatever
+    # lies just across the gap
+    grid = ([0, 5, 50, 100], [-10, 0, 10, 30], [0, 10, 10.001, 20])
+    boxes = (((0, 0, 0), (50, 10, 10)), ((0, -10, 10.001), (100, 30, 20)),
+             ((0, 0, 10), (5, 10, 10.001)))
+    for complement in (False, True):
+        poly = box_union(*grid, boxes, complement=complement)
+        tip = int(np.flatnonzero((poly.vertices == (50, 10, 10)).all(axis=1))[0])
+        thetas = [e.theta for e in poly.incident_edges(tip)]
+        assert thetas == [(1.5 if complement else 0.5) * math.pi] * 3
+        assert poly.vertex_cone(tip).contained_in_half_space is not complement
+
+
+def test_cone_side_reads_unsnapped_angles():
+    # a pyramid of apex height 1e-6 over a square, closed by a bottom apex:
+    # with tol=1e-4 every apex dihedral snaps to pi, but the apex cone is
+    # still a strict side of its supporting plane
+    square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    verts = [(x, y, 0.0) for x, y in square] + [(0, 0, 1e-6), (0, 0, -1)]
+    faces = [(i, (i + 1) % 4, 4) for i in range(4)] + [((i + 1) % 4, i, 5) for i in range(4)]
+    for complement in (False, True):
+        poly = Polyhedron(verts, faces, complement=complement, tol=1e-4)
+        assert [e.theta for e in poly.incident_edges(4)] == [math.pi] * 4
+        assert poly.vertex_cone(4).contained_in_half_space is not complement
+
+
 def test_vertex_needs_three_faces():
-    # a prism vertex always has 3 faces; fabricate the error path directly
-    tri = fx.platonic("tetrahedron")
-    with pytest.raises(MeshError):
-        tri.vertex_cone(99)
+    # a unit cube with an extra vertex at (0.5, 0, 0) in its bottom and front
+    # loops: the mesh closes, but that vertex has no cone
+    verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+             (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1), (0.5, 0, 0)]
+    faces = [(0, 3, 2, 1, 8), (4, 5, 6, 7), (0, 8, 1, 5, 4),
+             (3, 7, 6, 2), (0, 4, 7, 3), (1, 2, 6, 5)]
+    with pytest.raises(MeshError, match="vertex 8 has fewer than 3 incident faces"):
+        Polyhedron(verts, faces)
 
 
 # -- global invariants ------------------------------------------------------------
