@@ -408,6 +408,25 @@ def _supporting_normal(gens: np.ndarray) -> Optional[np.ndarray]:
 _BC_HELP = ", ".join(sorted(BC_INDEX))
 
 
+def _finite(x) -> Optional[float]:
+    """``x`` as a finite float, or None when it is not a finite number.
+
+    Numeric strings count: ``%.17g`` writes some floats without a decimal
+    point (``1e+20``), and YAML reads those as strings."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        return None
+    try:
+        x = float(x)
+    except (ValueError, OverflowError):
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _is_index(x) -> bool:
+    # YAML reads yes/no as booleans, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def loads_polyhedron(text: str, tol: float = 1e-9):
     """Parse a domain document; returns (Polyhedron, BoundaryAssignment, bounds).
 
@@ -426,6 +445,9 @@ def loads_polyhedron(text: str, tol: float = 1e-9):
     if not isinstance(vertices, list) or any(
             not isinstance(p, list) or len(p) != 3 for p in vertices):
         raise DomainFileError("'vertices' must be a list of [x, y, z] triples")
+    for i, p in enumerate(vertices):
+        if any(_finite(c) is None for c in p):
+            raise DomainFileError("vertex %d: coordinates %r are not finite numbers" % (i, p))
     loops = []
     ds = []
     if not isinstance(doc["faces"], list):
@@ -433,24 +455,36 @@ def loads_polyhedron(text: str, tol: float = 1e-9):
     for k, f in enumerate(doc["faces"]):
         if not isinstance(f, dict) or "loop" not in f or "bc" not in f:
             raise DomainFileError("face %d must carry 'loop' and 'bc'" % k)
-        if f["bc"] not in BC_INDEX:
+        if not isinstance(f["bc"], str) or f["bc"] not in BC_INDEX:
             raise DomainFileError("face %d: unknown boundary tag %r (expected one of: %s)"
                                   % (k, f["bc"], _BC_HELP))
+        if not isinstance(f["loop"], list) or not all(map(_is_index, f["loop"])):
+            raise DomainFileError("face %d: 'loop' must be a list of vertex indices, got %r"
+                                  % (k, f["loop"]))
         loops.append(f["loop"])
         ds.append(BC_INDEX[f["bc"]])
-    poly = Polyhedron(vertices, loops, complement=bool(doc.get("complement", False)),
+    complement = doc.get("complement", False)
+    if not isinstance(complement, bool):
+        raise DomainFileError("'complement' must be true or false, got %r" % (complement,))
+    poly = Polyhedron(vertices, loops, complement=complement,
                       name=doc.get("name"), tol=tol)
     bounds: Dict[int, VertexBound] = {}
     raw = doc.get("vertex_bounds") or {}
     if not isinstance(raw, dict):
         raise DomainFileError("'vertex_bounds' must be a mapping vertex -> {bound, note}")
     for v, entry in raw.items():
-        iv = int(v)
-        if iv < 0 or iv >= len(poly.vertices):
+        if not _is_index(v) or v < 0 or v >= len(poly.vertices):
             raise DomainFileError("vertex_bounds references unknown vertex %r" % v)
         if not isinstance(entry, dict) or "bound" not in entry:
             raise DomainFileError("vertex_bounds[%r] must carry 'bound'" % v)
-        bounds[iv] = VertexBound(float(entry["bound"]), str(entry.get("note", "")))
+        bound = _finite(entry["bound"])
+        if bound is None:
+            raise DomainFileError("vertex_bounds[%r]: bound %r is not a finite number"
+                                  % (v, entry["bound"]))
+        try:
+            bounds[v] = VertexBound(bound, str(entry.get("note", "")))
+        except ValueError as exc:
+            raise DomainFileError("vertex_bounds[%r]: %s" % (v, exc)) from exc
     return poly, BoundaryAssignment(tuple(ds)), bounds
 
 

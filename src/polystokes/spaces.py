@@ -6,6 +6,12 @@ the per-vertex/per-edge weight exponents.  ``embeds`` is a certifier: it
 answers "holds" only when a chain of the encoded embedding rules proves the
 inclusion, and "unknown" otherwise - never "does not embed".
 
+The Sobolev-step, Sobolev-to-Holder and Holder-monotone rules read the
+weights against the level of each space, l - 3/s on the Sobolev kinds and
+l + sigma on the Holder kinds: the level must not rise from source to target,
+and beta - level and delta - level must not decrease (on a cone the vertex
+ones stay equal, except on the C scale).
+
 Arbitrarily small positive quantities are kept symbolic: ``Eps(x, k)`` means
 x + k*epsilon, and comparisons resolve lexicographically, so "x+eps <= y"
 means exactly x < y.
@@ -176,11 +182,24 @@ def _two_over(s: Number) -> Number:
     return 2 * _inv(s)
 
 
-def _dims_match(a: SpaceDescriptor, b: SpaceDescriptor) -> bool:
-    return len(a.beta) == len(b.beta) and len(a.delta) == len(b.delta)
+def _level(d: SpaceDescriptor) -> Eps:
+    """The level the weights are read against: l - 3/s on the Sobolev kinds,
+    l + sigma on the Holder kinds."""
+    return as_eps(d.l - _three_over(d.s)) if d.kind in _SOBOLEV_KINDS else d.smooth()
+
+
+def _weights_rise(a, b, level_a, level_b, equal_vertices=False) -> bool:
+    """beta - level and delta - level do not decrease from ``a`` to ``b``;
+    with ``equal_vertices`` the vertex ones stay equal."""
+    for ba, bb in zip(a.beta, b.beta):
+        lhs, rhs = ba - level_a, bb - level_b
+        if not (lhs == rhs if equal_vertices else lhs <= rhs):
+            return False
+    return all(da - level_a <= db - level_b for da, db in zip(a.delta, b.delta))
 
 
 # -- direct rules ------------------------------------------------------------------
+# Each rule sees descriptors of matching dimensions (``_direct`` checks).
 
 def _rule_refl(a, b):
     if a == b:
@@ -190,34 +209,18 @@ def _rule_refl(a, b):
 def _rule_sobolev_step(a, b):
     """V->V continuity-of-smoothness step (equality of the vertex invariant on
     a cone, inequality on a bounded domain)."""
-    if a.kind != "V" or b.kind != "V" or not _dims_match(a, b):
+    if a.kind != "V" or b.kind != "V" or not 1 < a.s <= b.s:
         return None
-    s, t = a.s, b.s
-    if not (1 < s <= t):
+    la, lb = _level(a), _level(b)
+    if not (la >= lb and _weights_rise(a, b, la, lb, a.domain == "cone")):
         return None
-    if not as_eps(a.l - _three_over(s)) >= as_eps(b.l - _three_over(t)):
-        return None
-    for ba, bb in zip(a.beta, b.beta):
-        lhs = ba + (-a.l + _three_over(s))
-        rhs = bb + (-b.l + _three_over(t))
-        if a.domain == "cone":
-            if lhs != rhs:
-                return None
-        else:
-            if not lhs <= rhs:
-                return None
-    for da, db in zip(a.delta, b.delta):
-        if not da + (-a.l + _three_over(s)) <= db + (-b.l + _three_over(t)):
-            return None
     return ("vertex weight invariant %s, edge invariants nondecreasing, smoothness drop"
             % ("preserved" if a.domain == "cone" else "nondecreasing"))
 
 def _rule_weight_relax(a, b):
     """Same-l step to lower integrability with strictly larger weights (bounded
     domains only; Holder's inequality in the weights)."""
-    if a.domain != "domain" or b.domain != "domain" or not _dims_match(a, b):
-        return None
-    if a.kind not in ("V", "W") or b.kind != a.kind or a.l != b.l:
+    if a.domain != "domain" or a.kind not in ("V", "W") or b.kind != a.kind or a.l != b.l:
         return None
     s, t = a.s, b.s
     if not (1 < t < s):
@@ -231,83 +234,36 @@ def _rule_weight_relax(a, b):
     return "weight relaxation at lower integrability"
 
 def _rule_w_monotone(a, b):
-    if a.kind != "W" or b.kind != "W" or not _dims_match(a, b) or a.s != b.s:
+    # reads beta - l, not beta - (l - 3/s): on float s the two round apart at ties
+    if a.kind != "W" or b.kind != "W" or a.s != b.s or not a.l >= b.l:
         return None
-    if not a.l >= b.l:
+    if not _weights_rise(a, b, as_eps(a.l), as_eps(b.l)):
         return None
-    for ba, bb in zip(a.beta, b.beta):
-        if not ba - a.l <= bb - b.l:
-            return None
-    for da, db in zip(a.delta, b.delta):
-        if not da - a.l <= db - b.l:
-            return None
     return "nonhomogeneous scale monotone in (l, weights)"
 
 def _rule_holder_embedding(a, b):
     """V -> N Sobolev-to-Holder embedding."""
-    if a.kind != "V" or b.kind != "N" or not _dims_match(a, b):
+    if a.kind != "V" or b.kind != "N":
         return None
-    s = a.s
-    if not as_eps(a.l - _three_over(s)) > as_eps(b.l + b.sigma):
+    la, lb = _level(a), _level(b)
+    if not (la > lb and _weights_rise(a, b, la, lb, a.domain == "cone")):
         return None
-    for ba, bb in zip(a.beta, b.beta):
-        lhs = ba + (-a.l + _three_over(s))
-        rhs = bb + (-b.l - b.sigma)
-        if a.domain == "cone":
-            if lhs != rhs:
-                return None
-        else:
-            if not lhs <= rhs:
-                return None
-    for da, db in zip(a.delta, b.delta):
-        if not da + (-a.l + _three_over(s)) <= db + (-b.l - b.sigma):
-            return None
     return "supercritical smoothness, weight invariants aligned"
 
 def _rule_holder_monotone(a, b):
-    if a.kind not in ("N", "C") or b.kind != a.kind or not _dims_match(a, b):
+    if a.kind not in ("N", "C") or b.kind != a.kind:
         return None
-    if not a.smooth() >= b.smooth():
+    la, lb = _level(a), _level(b)
+    if not (la >= lb and _weights_rise(a, b, la, lb, a.domain == "cone" and a.kind == "N")):
         return None
-    for ba, bb in zip(a.beta, b.beta):
-        lhs = ba - a.smooth()
-        rhs = bb - b.smooth()
-        if a.domain == "cone" and a.kind == "N":
-            if lhs != rhs:
-                return None
-        else:
-            if not lhs <= rhs:
-                return None
-    for da, db in zip(a.delta, b.delta):
-        if not da - a.smooth() <= db - b.smooth():
-            return None
     return "Holder scale monotone in (l+sigma, weights)"
 
 def _rule_n_in_c(a, b):
-    if a.kind != "N" or b.kind != "C" or not _dims_match(a, b):
+    if a.kind != "N" or b.kind != "C":
         return None
     if (a.l, a.sigma, a.beta, a.delta, a.domain) == (b.l, b.sigma, b.beta, b.delta, b.domain):
         return "restricted Holder scale inside the full one"
     return None
-
-def _rule_dual_step(a, b):
-    """V^{0,s} -> V^{-1,t} on a bounded domain (duality with one derivative)."""
-    if a.kind != "V" or b.kind != "V" or a.l != 0 or b.l != -1:
-        return None
-    if a.domain != "domain" or b.domain != "domain" or not _dims_match(a, b):
-        return None
-    s, t = a.s, b.s
-    if not (1 < s <= t):
-        return None
-    if not as_eps(_three_over(s)) <= as_eps(1 + _three_over(t)):
-        return None
-    for ba, bb in zip(a.beta, b.beta):
-        if not ba + _three_over(s) <= bb + 1 + _three_over(t):
-            return None
-    for da, db in zip(a.delta, b.delta):
-        if not da + _three_over(s) <= db + 1 + _three_over(t):
-            return None
-    return "one negative derivative absorbs one weight order"
 
 _DIRECT_RULES = (
     ("refl", _rule_refl),
@@ -317,12 +273,12 @@ _DIRECT_RULES = (
     ("V-to-N", _rule_holder_embedding),
     ("holder-monotone", _rule_holder_monotone),
     ("N-in-C", _rule_n_in_c),
-    ("dual-step", _rule_dual_step),
 )
 
 
 def _coincides_vw(d: SpaceDescriptor) -> bool:
-    thr = as_eps(d.l - _two_over(d.s))
+    # W requires every delta_k > -2/s, so at order -1 that is the threshold
+    thr = as_eps(max(d.l, 0) - _two_over(d.s))
     return all(dk > thr for dk in d.delta)
 
 
@@ -353,6 +309,8 @@ def _equal_neighbors(d: SpaceDescriptor, like: SpaceDescriptor):
 
 
 def _direct(a: SpaceDescriptor, b: SpaceDescriptor):
+    if len(a.beta) != len(b.beta) or len(a.delta) != len(b.delta):
+        return None
     for name, rule in _DIRECT_RULES:
         note = rule(a, b)
         if note is not None:

@@ -109,11 +109,14 @@ def test_analyze_reports_class_results(tmp_path, capsys):
     assert "velocity-convex-W2" in out
 
 
-def test_analyze_malformed_file(tmp_path, capsys):
+def test_analyze_malformed_file(tmp_path, capsys, malformed_cube_documents):
     bad = tmp_path / "bad.domain"
-    bad.write_text("vertices: [[0,0,0]]\n")
-    assert main(["analyze", "--input", str(bad)]) == 1
-    assert "missing required field" in capsys.readouterr().err
+    for text, message in [("vertices: [[0,0,0]]\n", "missing required field")] + \
+            malformed_cube_documents:
+        bad.write_text(text)
+        assert main(["analyze", "--input", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and message in err
 
 
 def test_analyze_bad_mesh_diagnostic(tmp_path, capsys):

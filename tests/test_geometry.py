@@ -2,6 +2,7 @@ import glob
 import json
 import math
 import os
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from polystokes import fixtures as fx
 from polystokes.geometry import (BC_INDEX, MeshError, DomainFileError, Polyhedron,
-                                 load_polyhedron, loads_polyhedron)
+                                 VertexBound, load_polyhedron, loads_polyhedron)
 from polystokes.regularity import ProblemSpec, RegularityQuery, check, max_s
 
 DOMAINS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(
@@ -86,10 +87,25 @@ def test_vertex_bounds_validation(cube):
         loads_polyhedron(doc + "vertex_bounds:\n  99: {bound: 0.3}\n")
     with pytest.raises(DomainFileError, match="must carry 'bound'"):
         loads_polyhedron(doc + "vertex_bounds:\n  0: {note: missing}\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainFileError, match="must exceed -1/2"):
         loads_polyhedron(doc + "vertex_bounds:\n  0: {bound: -0.7}\n")
     poly, bc, bounds = loads_polyhedron(doc + "vertex_bounds:\n  0: {bound: 0.3, note: ok}\n")
     assert bounds[0].bound == 0.3 and bounds[0].note == "ok"
+
+
+def test_malformed_fields_rejected(malformed_cube_documents):
+    for text, message in malformed_cube_documents:
+        with pytest.raises(DomainFileError, match=re.escape(message)):
+            loads_polyhedron(text)
+
+
+def test_document_numbers_without_a_point_load(cube):
+    # %.17g writes 1e22 as "1e+22", which YAML reads as a string
+    big = Polyhedron(cube.vertices * 1e22, cube.faces)
+    doc = fx.domain_document(big, fx.with_conditions(big, 0), {0: VertexBound(1e20, "far")})
+    assert "[-1e+22, -1e+22, -1e+22]" in doc and "bound: 1e+20" in doc
+    poly, bc, bounds = loads_polyhedron(doc)
+    assert np.array_equal(poly.vertices, big.vertices) and bounds[0].bound == 1e20
 
 
 def test_unparsable_document():

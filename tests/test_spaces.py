@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,14 @@ def W(l, s, beta, delta, domain="domain"):
 
 def N(l, sigma, beta, delta, domain="domain"):
     return SD.make("N", l, beta, delta, sigma=sigma, domain=domain)
+
+
+def C(l, sigma, beta, delta, domain="domain"):
+    return SD.make("C", l, beta, delta, sigma=sigma, domain=domain)
+
+
+def rules(judgment):
+    return [name for name, _ in judgment.chain]
 
 
 # -- symbolic epsilon ------------------------------------------------------------
@@ -84,6 +93,16 @@ def test_vw_coincidence_both_directions():
     assert embeds(w2, v2).verdict == "unknown"
 
 
+def test_order_minus_one_v_keeps_its_w_window():
+    # edge weight -1 lies in (-1 - 2/s, -2/s]: above V's coincidence threshold
+    # l - 2/s, but no W space carries it
+    a = SD.make("V", -1, (0,), (-1,), s=2)
+    j = embeds(a, a)
+    assert j.verdict == "holds" and rules(j) == ["refl"]
+    j = embeds(V(0, 2, (0,), (0,)), a)
+    assert j.verdict == "holds" and rules(j) == ["embed-V"]
+
+
 def test_nonweighted_identifications():
     plain = SD.make("sobolev", 1, (), (), s=F(3, 2))
     v = V(1, F(3, 2), (0,), (0,))
@@ -118,7 +137,60 @@ def test_holder_chain_from_nonhomogeneous():
 def test_dual_step():
     a = V(0, F(3, 2), (0,), (0,))
     b = SD.make("V", -1, (0,), (0,), s=F(3, 2))
+    j = embeds(a, b)
+    assert j.verdict == "holds" and rules(j) == ["embed-V"]
+
+
+# each direct rule: a witness on the rule's boundary whose chain is that rule
+# alone, and the target nudged by 1/12 past the boundary, which no chain proves
+_E = F(1, 12)
+_RULE_WITNESSES = {
+    # on a cone embed-V needs the vertex weight to stay put, so refl stands alone
+    "refl": (V(1, 2, (0,), (0,), "cone"), V(1, 2, (0,), (0,), "cone"),
+             V(1, 2, (_E,), (0,), "cone")),
+    # levels 1/2 -> -1/2: beta and delta may drop by 1
+    "embed-V/domain": (V(2, 2, (0,), (0,)), V(1, 2, (-1,), (-1,)),
+                       V(1, 2, (-1,), (-1 - _E,))),
+    "embed-V/cone": (V(2, 2, (0,), (0,), "cone"), V(1, 2, (-1,), (-1,), "cone"),
+                     V(1, 2, (-1 + _E,), (-1,), "cone")),
+    # strict: beta + 3/s < beta' + 3/t and delta + 2/s < delta' + 2/t
+    "relax-weights/domain": (V(1, 3, (0,), (0,)), V(1, 2, (F(-1, 2) + _E,), (F(-1, 3) + _E,)),
+                             V(1, 2, (F(-1, 2),), (F(-1, 3) + _E,))),
+    "relax-weights/W": (W(1, 3, (0,), (0,)), W(1, 2, (F(-1, 2) + _E,), (F(-1, 3) + _E,)),
+                        W(1, 2, (F(-1, 2) + _E,), (F(-1, 3),))),
+    "W-monotone": (W(2, 2, (0,), (1,)), W(1, 2, (-1,), (0,)),
+                   W(1, 2, (-1 - _E,), (0,))),
+    # levels 3/2 -> 1/2
+    "V-to-N/domain": (V(2, 6, (0,), (0,)), N(0, F(1, 2), (-1,), (-1,)),
+                      N(0, F(1, 2), (-1,), (-1 - _E,))),
+    "V-to-N/cone": (V(2, 6, (0,), (0,), "cone"), N(0, F(1, 2), (-1,), (-1,), "cone"),
+                    N(0, F(1, 2), (-1 + _E,), (-1,), "cone")),
+    "holder-monotone/domain": (N(1, F(1, 2), (0,), (0,)), N(0, F(1, 2), (-1,), (-1,)),
+                               N(0, F(1, 2), (-1,), (-1 - _E,))),
+    "holder-monotone/cone": (N(1, F(1, 2), (0,), (0,), "cone"),
+                             N(0, F(1, 2), (-1,), (-1,), "cone"),
+                             N(0, F(1, 2), (-1 + _E,), (-1,), "cone")),
+    # on a cone only N pins the vertex weight; C reads it as an inequality
+    "holder-monotone/C-cone": (C(1, F(1, 2), (0,), (2,), "cone"),
+                               C(0, F(1, 2), (-1 + _E,), (1,), "cone"),
+                               C(0, F(1, 2), (-1 + _E,), (1 - _E,), "cone")),
+    "N-in-C": (N(1, F(1, 2), (0,), (0,)), C(1, F(1, 2), (0,), (0,)),
+               C(1, F(1, 2), (-_E,), (0,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RULE_WITNESSES))
+def test_direct_rule_boundary(case):
+    a, b, nudged = _RULE_WITNESSES[case]
+    j = embeds(a, b)
+    assert j.verdict == "holds" and rules(j) == [case.split("/")[0]]
+    assert embeds(a, nudged).verdict == "unknown"
+
+
+def test_weight_relaxation_needs_a_bounded_domain():
+    a, b, _ = _RULE_WITNESSES["relax-weights/domain"]
     assert embeds(a, b).verdict == "holds"
+    assert embeds(replace(a, domain="cone"), replace(b, domain="cone")).verdict == "unknown"
 
 
 def test_embeds_rejects_mixed_domain_tags():
