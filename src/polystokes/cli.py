@@ -235,6 +235,7 @@ def _cmd_pencil(args) -> int:
 
 
 _MIN_N = 8  # the smallest collocation size the pencil solver accepts
+_MAX_N = 256  # the refinement solve at 2n builds dense matrices of order ~10n
 _ECHO = 24  # longer option values are echoed as a prefix and their length
 
 
@@ -401,6 +402,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.n < _MIN_N:
         print("%s: --n %d is below the smallest collocation size %d"
               % (args.error, args.n, _MIN_N), file=sys.stderr)
+        return 1
+    if args.n > _MAX_N:
+        print("%s: --n %d is above the largest collocation size %d"
+              % (args.error, args.n, _MAX_N), file=sys.stderr)
         return 1
     return args.func(args)
 

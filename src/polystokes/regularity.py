@@ -99,6 +99,10 @@ class RegularityQuery:
         if self.target in ("W1", "W2", "EXIST"):
             if self.s is None or not self.s > 1:
                 raise ValueError("Sobolev targets need s > 1")
+            try:
+                float(self.s)  # the report carries s as a float
+            except OverflowError:
+                raise ValueError("s must lie in the float range (up to 1.8e308)") from None
         else:
             if self.sigma is None or not 0 < self.sigma < 1:
                 raise ValueError("Holder targets need sigma in (0, 1)")
@@ -378,22 +382,20 @@ def _level_window(finding: StripFinding, anchor_closed: bool) -> Interval:
     if finding.unknown or not free.contains_interval(
             Interval(anchor, anchor, anchor_closed, anchor_closed)):
         return _NOWHERE
-    lo, hi, lo_closed, hi_closed = free.lo, free.hi, free.lo_closed, free.hi_closed
+    window = free
     for value, _ in finding.exceptional:
-        if anchor < value <= hi:
-            hi, hi_closed = value, False
-        elif lo <= value < anchor:
-            lo, lo_closed = value, False
-        elif value == anchor and anchor_closed:
+        if value != anchor:
+            window = window.intersect(_below(value) if value > anchor else _above(value))
+        elif anchor_closed:
             return _NOWHERE
-    return Interval(lo, hi, lo_closed, hi_closed)
+    return window
 
 
 def _row_fallback(spec: ProblemSpec, target: str) -> Optional[DecisionRow]:
     """The matching class row with the widest upper end.  The rows of one
     target share their lower end, so it contains every other matching row."""
     return max(matching_rows(spec, target),
-               key=lambda row: (row.interval.hi, row.interval.hi_closed), default=None)
+               key=lambda row: row.interval.hi_key, default=None)
 
 
 def _quotient(k: int, q, up: bool):
@@ -594,7 +596,7 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
         for pieces, _, _ in constraints:
             admissible = [p for p in (a.intersect(q) for a in admissible for q in pieces)
                           if not p.is_empty()]
-    best = max(admissible, key=lambda p: (p.hi, p.hi_closed), default=None)
+    best = max(admissible, key=lambda p: p.hi_key, default=None)
     # name the ends of the reported piece by the constraints that set them
     result = _EVERYTHING
     binding_lo = binding_hi = "none"
@@ -602,9 +604,9 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
         part = pieces[-1] if best is None else next(p for p in pieces if p.contains_interval(best))
         before = result
         result = result.intersect(part)
-        if result.hi != before.hi or result.hi_closed != before.hi_closed:
+        if result.hi_key != before.hi_key:
             binding_hi = hi_label
-        if result.lo != before.lo or result.lo_closed != before.lo_closed:
+        if result.lo_key != before.lo_key:
             binding_lo = lo_label
     rep.s_interval = result
     rep.binding = "upper: %s; lower: %s" % (binding_hi, binding_lo)

@@ -26,6 +26,7 @@ R6  user bound b > -1/2 on the smallest eigenvalue: extend the strip to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -42,80 +43,75 @@ __all__ = [
     "known_exceptional",
 ]
 
-INF = Fraction(10 ** 9)  # sentinel for an unbounded endpoint
+INF = math.inf  # an unbounded end
 
 
 @dataclass(frozen=True)
 class Interval:
     """A real interval with endpoint openness: eigenvalue strips (float or
-    ``Eps`` endpoints) and s-intervals (rational where exact)."""
+    ``Eps`` endpoints) and s-intervals (rational where exact, ``INF`` where
+    unbounded).
+
+    Ends compare only through their keys: x lies in the interval iff
+    ``lo_key <= (x, 0)`` and ``(x, 1) <= hi_key``.  Ends equal in value can
+    still differ in type (the float 3.0 and ``Fraction(3)`` serialize
+    differently), so ``intersect`` and ``union`` say which one they keep.
+    """
 
     lo: Union[Fraction, float, Eps]
     hi: Union[Fraction, float, Eps]
     lo_closed: bool = False
     hi_closed: bool = False
 
+    @property
+    def lo_key(self):
+        return (self.lo, 0 if self.lo_closed else 1)
+
+    @property
+    def hi_key(self):
+        return (self.hi, 1 if self.hi_closed else 0)
+
     def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
+        return not self.lo_key < self.hi_key
 
     def contains(self, x) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self.lo_key <= (x, 0) and (x, 1) <= self.hi_key
 
     def contains_interval(self, other: "Interval") -> bool:
-        lo_ok = other.lo > self.lo or (other.lo == self.lo
-                                       and (self.lo_closed or not other.lo_closed))
-        hi_ok = other.hi < self.hi or (other.hi == self.hi
-                                       and (self.hi_closed or not other.hi_closed))
-        return lo_ok and hi_ok
+        return self.lo_key <= other.lo_key and other.hi_key <= self.hi_key
 
     def intersect(self, other: "Interval") -> "Interval":
-        if other.lo > self.lo or (other.lo == self.lo and not other.lo_closed):
-            lo, lo_c = other.lo, other.lo_closed
-        else:
-            lo, lo_c = self.lo, self.lo_closed
-        if other.hi < self.hi or (other.hi == self.hi and not other.hi_closed):
-            hi, hi_c = other.hi, other.hi_closed
-        else:
-            hi, hi_c = self.hi, self.hi_closed
-        return Interval(lo, hi, lo_c, hi_c)
+        """At equal values the open end is kept, ``other``'s when both are."""
+        # other's ends against self's taken closed: other's wins a tie iff open
+        lo = other if other.lo_key > (self.lo, 0) else self
+        hi = other if other.hi_key < (self.hi, 1) else self
+        return Interval(lo.lo, hi.hi, lo.lo_closed, hi.hi_closed)
 
     def union(self, other: "Interval") -> Optional["Interval"]:
         """Union of two overlapping or touching intervals; None when it is not
-        an interval.  At equal endpoints the closed one wins, ``other``'s on a tie."""
-        a, b = self, other
-        if a.lo > b.hi or b.lo > a.hi or (a.hi == b.lo and not (a.hi_closed or b.lo_closed)) \
-                or (b.hi == a.lo and not (b.hi_closed or a.lo_closed)):
+        an interval.  At equal values the closed end is kept, ``other``'s when
+        both are."""
+        if not (self.hi_key >= other.lo_key and other.hi_key >= self.lo_key):
             return None
-        if b.lo < a.lo or (b.lo == a.lo and b.lo_closed):
-            lo, lo_c = b.lo, b.lo_closed
-        else:
-            lo, lo_c = a.lo, a.lo_closed
-        if b.hi > a.hi or (b.hi == a.hi and b.hi_closed):
-            hi, hi_c = b.hi, b.hi_closed
-        else:
-            hi, hi_c = a.hi, a.hi_closed
-        return Interval(lo, hi, lo_c, hi_c)
+        # other's ends against self's taken open: other's wins a tie iff closed
+        lo = other if other.lo_key < (self.lo, 1) else self
+        hi = other if other.hi_key > (self.hi, 0) else self
+        return Interval(lo.lo, hi.hi, lo.lo_closed, hi.hi_closed)
 
     def __str__(self):
         def fmt(x):
-            if isinstance(x, Fraction):
-                return "inf" if x >= INF else str(x)
-            if isinstance(x, Eps):
-                return str(x)
-            return "%.6g" % x
+            return str(x) if isinstance(x, (Fraction, Eps)) else "%.6g" % x
         return "%s%s, %s%s" % ("[" if self.lo_closed else "(", fmt(self.lo),
                                fmt(self.hi), "]" if self.hi_closed else ")")
 
+    # the JSON writes an unbounded end as the rational 10**9: readers of the
+    # reports take interval ends as numbers, and JSON has no infinity
+    _WIRE_INF = 10 ** 9
+
     def to_dict(self):
         def enc(x):
+            if x == INF:
+                return [self._WIRE_INF, 1]
             if isinstance(x, Fraction):
                 return [x.numerator, x.denominator]
             return float(x)
@@ -126,7 +122,7 @@ class Interval:
     def from_dict(d):
         def dec(x):
             if isinstance(x, list):
-                return Fraction(x[0], x[1])
+                return INF if x == [Interval._WIRE_INF, 1] else Fraction(x[0], x[1])
             return float(x)
         return Interval(dec(d["lo"]), dec(d["hi"]), d["lo_closed"], d["hi_closed"])
 

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from polystokes import fixtures as fx
 from polystokes.regularity import DataFlags, ProblemSpec
+
+# a longer search for the property tests: --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=500)
 
 ALL_FLAGS = DataFlags(data_in_required_spaces=True,
                       compatibility_conditions_hold=True,

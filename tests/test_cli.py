@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import sys
 
 import pytest
 
+from polystokes import edge_pencil
 from polystokes import fixtures as fx
 from polystokes.cli import (FixtureRow, main, verification_rows, parse_theta,
                             run_fixture_rows)
@@ -249,6 +251,41 @@ def test_analyze_overlong_decimal_is_echoed_short(cube_file, capsys):
     assert err.startswith("input error: --sigma: '0.000")
     assert "(%d characters)" % len(text) in err
     assert "int-string limit (%d)" % sys.get_int_max_str_digits() in err
+
+
+SHIPPED_CUBE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "domains", "cube.domain")
+
+
+@pytest.mark.parametrize("target", ["w1", "exist"])
+@pytest.mark.parametrize("s", ["1000000001", "1000000000000", "1e308"])
+def test_analyze_unbounded_scan_holds_far_up(capsys, target, s):
+    # the cube scans W1 as (2, inf] and EXIST as (3/2, inf]: the point check
+    # agrees however large s is, as long as it has a float value
+    assert main(["analyze", "--input", SHIPPED_CUBE, "--target", target, "--s", s]) == 0
+    assert "%s: holds  at s=" % target in capsys.readouterr().out
+
+
+def test_analyze_s_beyond_the_float_range_is_input_error(capsys):
+    assert main(["analyze", "--input", SHIPPED_CUBE, "--target", "w1", "--s", "1e309"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and "float range" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["analyze", "--input", SHIPPED_CUBE], "input error"),
+    (["pencil", "--theta", "1.5*pi", "--bc", "0,0"], "argument error"),
+    (["verify-paper"], "argument error")])
+def test_collocation_size_is_capped(monkeypatch, capsys, argv, error):
+    # an --n past the cap is refused before any pencil is assembled
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a pencil was assembled")
+    monkeypatch.setattr(edge_pencil, "_blocks", no_assembly)
+    assert main(argv + ["--n", "100000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("%s: --n 100000 " % error)
+    if argv[0] == "analyze":  # the cap itself is accepted: the cube needs no solve
+        assert main(argv + ["--n", "256"]) == 0
 
 
 def test_analyze_exist_without_velocity_edge_warns(tmp_path, capsys):

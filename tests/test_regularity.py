@@ -54,6 +54,13 @@ def test_missing_data_flag_gives_unknown(step):
     assert any("not asserted" in n for n in rep.notes)
 
 
+def test_s_beyond_the_float_range_is_refused(cube_dirichlet):
+    # the report carries s as a float: an s with no float value is an input error
+    with pytest.raises(ValueError, match="float range"):
+        RegularityQuery("W1", s=F(10) ** 309)
+    assert check(cube_dirichlet, RegularityQuery("W1", s=F(10) ** 308)).verdict == "holds"
+
+
 # -- second-order checks -------------------------------------------------------------
 
 def test_step_second_order_thresholds(step_dirichlet):
@@ -157,7 +164,11 @@ def test_step_scan_bounds(step_dirichlet):
 
 def test_convex_scan_unbounded(cube_dirichlet):
     w1 = max_s(cube_dirichlet, "W1")
-    assert w1.s_interval.hi >= 10 ** 6  # no upper constraint
+    assert w1.s_interval.hi == INF  # no upper constraint
+    # the JSON writes the unbounded end as 10**9 and reads it back unbounded
+    d = json.loads(json.dumps(w1.to_dict()))
+    assert d["s_interval"]["hi"] == [1000000000, 1]
+    assert RegularityReport.from_dict(d).s_interval.hi == INF
     w2 = max_s(cube_dirichlet, "W2")
     assert w2.s_interval.hi == F(3) and not w2.s_interval.hi_closed
 
@@ -225,9 +236,15 @@ def test_scan_matches_point_checks():
             continue
         scans += 1
         iv = rep.s_interval
-        lo, hi = F(iv.lo), F(iv.hi)
+        lo = F(iv.lo)
         probes = [lo, lo + F(1, 1000)]
-        if hi < INF:
+        if iv.hi == INF:
+            # unbounded above: every s holds, past 10**9 too
+            far = [F(10 ** 9 + 1), F(10 ** 12)]
+            assert all(iv.contains(s) for s in far), (name, target, str(iv))
+            probes += far
+        else:
+            hi = F(iv.hi)
             probes += [hi, hi - F(1, 1000), hi + F(1, 1000), hi + F(1, 2)]
         for s in probes:
             if s > 1:
