@@ -17,9 +17,9 @@ from typing import Callable, List, Optional, Sequence
 
 from . import fixtures
 # pencil_residual is imported only as a lookup site that perfbench/tracer.py wraps
-from .edge_pencil import (DihedronPencil, MU_THRESHOLD_TWO_THIRDS, edge_exponent,
-                          mu_numeric, mu_real_root, pencil_residual, pencil_residuals,
-                          solve_spectrum)
+from .edge_pencil import (DihedronPencil, MU_THRESHOLD_TWO_THIRDS, WindowError,
+                          edge_exponent, mu_numeric, mu_real_root, pencil_residual,
+                          pencil_residuals, solve_spectrum)
 from .geometry import DomainFileError, MeshError, load_polyhedron
 from .regularity import (TARGETS, DataFlags, Interval, ProblemSpec, RegularityQuery,
                          check, decision_table, max_s)
@@ -39,6 +39,8 @@ def parse_theta(text: str) -> float:
         return float(m.group("x"))
     a = float(m.group("a")) if m.group("a") else 1.0
     b = float(m.group("b")) if m.group("b") else 1.0
+    if b == 0:
+        raise ValueError("cannot parse angle %r: the divisor is zero" % text)
     return a * math.pi / b
 
 
@@ -211,7 +213,11 @@ def _cmd_pencil(args) -> int:
     except (ValueError, TypeError) as exc:
         print("argument error: %s" % exc, file=sys.stderr)
         return 1
-    spec = solve_spectrum(pencil, (lo, hi), n=args.n)
+    try:
+        spec = solve_spectrum(pencil, (lo, hi), n=args.n)
+    except WindowError as exc:
+        print("argument error: --window %r: %s" % (args.window, exc), file=sys.stderr)
+        return 1
     residuals = pencil_residuals(pencil, spec.eigenvalues, args.n)
     rows = [{"re": ev.real, "im": ev.imag, "multiplicity": m, "residual": res}
             for ev, m, res in zip(spec.eigenvalues, spec.multiplicities, residuals)]

@@ -182,6 +182,8 @@ class Polyhedron:
         self.complement = bool(complement)
         self.name = name
         self.tol = float(tol)
+        if not (math.isfinite(self.tol) and self.tol >= 0):  # nan would pass every check
+            raise MeshError("tol must be a finite number >= 0, got %r" % (tol,))
         self._validate_basic()
         self.face_normals, self.face_areas = self._face_planes()
         self.edges = self._derive_edges()
@@ -491,4 +493,8 @@ def loads_polyhedron(text: str, tol: float = 1e-9):
 def load_polyhedron(path, tol: float = 1e-9):
     """Load a domain file from disk; see :func:`loads_polyhedron`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_polyhedron(fh.read(), tol=tol)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainFileError("domain file is not UTF-8 text: %s" % exc) from exc
+    return loads_polyhedron(text, tol=tol)

@@ -32,7 +32,7 @@ from .edge_pencil import MuValue, WindowError, class_bound, edge_exponent
 from .geometry import (BoundaryAssignment, Edge, Polyhedron, VertexBound,
                        graph_direction_feasible)
 from .spaces import Eps, as_eps
-from .vertex_pencil import (INF, Interval, StripFinding, eigenfree_strip,
+from .vertex_pencil import (_ENERGY_LINE, INF, Interval, StripFinding, eigenfree_strip,
                             known_exceptional, strip_condition_holds)
 
 __all__ = [
@@ -245,13 +245,10 @@ def _require_velocity_edges(spec: ProblemSpec, detail: str = "") -> None:
                              % (e.id, detail))
 
 
-_ANCHOR = Fraction(-1, 2)  # the energy line every vertex strip starts from
-
-
 def _strip_for(level: Eps, anchor_closed: bool) -> Interval:
     """Strip between the energy line and the level line (closed there),
     whichever order."""
-    anchor = as_eps(_ANCHOR)
+    anchor = as_eps(_ENERGY_LINE)
     if level >= anchor:
         return Interval(anchor, level, anchor_closed, True)
     return Interval(level, anchor, True, anchor_closed)
@@ -377,8 +374,9 @@ def _edge_window(rule: _Rule, mu: MuValue) -> Interval:
 def _level_window(finding: StripFinding, anchor_closed: bool) -> Interval:
     """The vertex condition as a window of the level L: the strip between the
     energy line and L is certified free iff L lies in it (the certified strip
-    minus its exceptional eigenvalues; empty when no rule applies)."""
-    free, anchor = finding.free, float(_ANCHOR)  # the strip catalogue's ends are floats
+    minus its exceptional eigenvalues; empty when no rule applies).  The
+    catalogue is exact, so the window's ends are too, save an R6 user bound."""
+    free, anchor = finding.free, _ENERGY_LINE
     if finding.unknown or not free.contains_interval(
             Interval(anchor, anchor, anchor_closed, anchor_closed)):
         return _NOWHERE
@@ -399,10 +397,11 @@ def _row_fallback(spec: ProblemSpec, target: str) -> Optional[DecisionRow]:
 
 
 def _quotient(k: int, q, up: bool):
-    """k/q as an interval end.  A float quotient that rounded the wrong way
-    (so that the check at the end itself would contradict its openness) moves
-    one float ``up`` or down; for a float q that is a multiple of 1/2 (the
-    strip catalogue stores its numbers so) it becomes the exact quotient."""
+    """k/q as an interval end, exact for a rational q.  A float q comes only
+    from an irrational exponent (``mu_real_root``, off-grid or numeric values)
+    or a user bound; a float quotient that rounded the wrong way (so that the
+    check at the end itself would contradict its openness) moves one float
+    ``up`` or down."""
     if not isinstance(q, float):
         return Fraction(k) / q
     s = k / q
@@ -410,8 +409,6 @@ def _quotient(k: int, q, up: bool):
     error = ns * nq - k * ds * dq  # s*q - k, times the positive ds*dq
     if error == 0 or ((error > 0) == (q > 0)) == up:  # exact, or s on the side asked
         return s
-    if (2 * q).is_integer():
-        return Fraction(k) / Fraction(q)
     return math.nextafter(s, math.inf if up else -math.inf)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .geometry import VertexBound, VertexCone
 from .spaces import Eps
@@ -44,13 +44,14 @@ __all__ = [
 ]
 
 INF = math.inf  # an unbounded end
+_ENERGY_LINE = Fraction(-1, 2)  # Re lambda = -1/2: every strip that starts at it
 
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval with endpoint openness: eigenvalue strips (float or
-    ``Eps`` endpoints) and s-intervals (rational where exact, ``INF`` where
-    unbounded).
+    """A real interval with endpoint openness: eigenvalue strips (rational
+    catalogue ends, a float user bound, ``Eps`` levels) and s-intervals
+    (rational where exact, ``INF`` where unbounded).
 
     Ends compare only through their keys: x lies in the interval iff
     ``lo_key <= (x, 0)`` and ``(x, 1) <= hi_key``.  Ends equal in value can
@@ -129,11 +130,12 @@ class Interval:
 
 @dataclass(frozen=True)
 class StripFinding:
-    """Certified eigenvalue-free strip at one vertex, or an explicit unknown."""
+    """Certified eigenvalue-free strip at one vertex, or an explicit unknown.
+    Strip ends and exceptional values are exact, save a float R6 user bound."""
 
     vertex: int
     free: Optional[Interval]
-    exceptional: Tuple[Tuple[float, str], ...] = ()
+    exceptional: Tuple[Tuple[Fraction, str], ...] = ()
     rules: Tuple[str, ...] = ()
     assumptions: Tuple[str, ...] = ()
 
@@ -165,31 +167,33 @@ def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
     Rules are tried from the most specific; every applicable strip is merged.
     """
     ds = set(incident_d)
-    candidates: List[Tuple[str, Interval, Tuple[Tuple[float, str], ...], Tuple[str, ...]]] = []
+    candidates: List[Tuple[str, Interval, Tuple[Tuple[Fraction, str], ...], Tuple[str, ...]]] = []
     notes: List[str] = []
     if ds == {0}:
         if cone.contained_in_half_space:
-            candidates.append(("R2", Interval(-0.5, 1.0, True, False),
-                               ((1.0, "constant-pressure eigenvector, no generalized eigenvectors"),),
+            candidates.append(("R2", Interval(_ENERGY_LINE, Fraction(1), True, False),
+                               ((Fraction(1), "constant-pressure eigenvector, "
+                                              "no generalized eigenvectors"),),
                                ("cone contained in a half-space",)))
         else:
-            candidates.append(("R1", Interval(-0.5, 0.0, True, True), (), ()))
+            candidates.append(("R1", Interval(_ENERGY_LINE, Fraction(0), True, True), (), ()))
     elif ds == {3}:
         if lipschitz_graph:
-            candidates.append(("R3", Interval(-1.0, 0.0, True, True),
-                               ((0.0, "rigid motion"),
-                                (1.0, "listed by the quoted statement although outside its strip")),
+            candidates.append(("R3", Interval(Fraction(-1), Fraction(0), True, True),
+                               ((Fraction(0), "rigid motion"),
+                                (Fraction(1), "listed by the quoted statement "
+                                              "although outside its strip")),
                                ("Lipschitz-graph polyhedron",)))
         else:
             notes.append("all-stress vertex needs the Lipschitz-graph assumption; refusing to guess")
     if slip_class and ds <= {0, 2} and 2 in ds:
-        candidates.append(("R5", Interval(-0.5, 1.0, True, True),
-                           ((1.0, "simple eigenvalue"),),
+        candidates.append(("R5", Interval(_ENERGY_LINE, Fraction(1), True, True),
+                           ((Fraction(1), "simple eigenvalue"),),
                            ("convex polyhedron", "single slip face with edge openings below pi/2")))
     if max(ds) <= 2 and len(ds) >= 2 and all(0 in pair for pair in edge_pairs):
-        candidates.append(("R4", Interval(-1.0, 0.0, True, True), (), ()))
+        candidates.append(("R4", Interval(Fraction(-1), Fraction(0), True, True), (), ()))
     if override is not None:
-        candidates.append(("R6", Interval(-0.5, override.bound, True, False), (),
+        candidates.append(("R6", Interval(_ENERGY_LINE, override.bound, True, False), (),
                            ("user bound via monotonicity over the enclosing circular cone: "
                             + (override.note or "unattributed"),)))
     if not candidates:
@@ -199,14 +203,13 @@ def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
     free = candidates[0][1]
     for _, strip, _, _ in candidates[1:]:
         free = free.union(strip) or free  # a disjoint strip keeps the primary one
-    exceptional: List[Tuple[float, str]] = []
+    exceptional: Dict[Fraction, str] = {}
     for _, _, exc, _ in candidates:
         for v, note in exc:
-            if all(abs(v - w) > 1e-12 for w, _ in exceptional):
-                exceptional.append((v, note))
+            exceptional.setdefault(v, note)
     rules = tuple(c[0] for c in candidates)
     assumptions = tuple(dict.fromkeys(a for c in candidates for a in c[3])) + tuple(notes)
-    return StripFinding(cone.vertex, free, tuple(sorted(exceptional)), rules, assumptions)
+    return StripFinding(cone.vertex, free, tuple(sorted(exceptional.items())), rules, assumptions)
 
 
 def strip_condition_holds(finding: StripFinding, target: Interval) -> Tuple[bool, str]:
@@ -228,7 +231,7 @@ def strip_condition_holds(finding: StripFinding, target: Interval) -> Tuple[bool
                   % (finding.vertex, target, finding.free, "+".join(finding.rules)))
 
 
-def known_exceptional(all_d: Sequence[int]) -> Tuple[float, ...]:
+def known_exceptional(all_d: Sequence[int]) -> Tuple[Fraction, ...]:
     """Eigenvalues every vertex pencil of the configuration must contain.
 
     With only velocity/slip conditions (indices 0 and 2) the spectra contain
@@ -238,7 +241,7 @@ def known_exceptional(all_d: Sequence[int]) -> Tuple[float, ...]:
     """
     ds = set(all_d)
     if ds <= {0, 2}:
-        return (1.0, -2.0)
+        return (Fraction(1), Fraction(-2))
     if ds == {3}:
-        return (0.0, 1.0)
+        return (Fraction(0), Fraction(1))
     return ()

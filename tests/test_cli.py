@@ -33,6 +33,8 @@ def test_parse_theta_forms():
     assert parse_theta("2.5") == 2.5
     with pytest.raises(ValueError):
         parse_theta("two pi")
+    with pytest.raises(ValueError, match="divisor is zero"):
+        parse_theta("pi/0")
 
 
 def test_pencil_text_output(capsys):
@@ -50,13 +52,21 @@ def test_pencil_stress_pair_shares_root(capsys):
 
 
 def test_pencil_rejects_zero_angle(capsys):
-    cases = ([["--theta", "0"]]
+    cases = ([["--theta", "0"], ["--theta", "pi/0"]]
              + [["--window", w] for w in ("2,1", "1,1", "0,inf", "nan,1")]
              + [["--n", "4"]])
     for extra in cases:
         assert main(["pencil", "--theta", "pi/2", "--bc", "0,0"] + extra) == 1, extra
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("argument error: "), extra
+
+
+def test_pencil_window_error_is_an_argument_error(capsys):
+    # a finite window this wide puts every shift on the spectrum
+    assert main(["pencil", "--theta", "1.5*pi", "--bc", "0,0", "--window", "0,1e200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("argument error: --window '0,1e200': every shift tried")
 
 
 def test_analyze_rejects_small_collocation(tmp_path, capsys):
@@ -119,6 +129,16 @@ def test_analyze_malformed_file(tmp_path, capsys, malformed_cube_documents):
         assert main(["analyze", "--input", str(bad)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error: ") and message in err
+
+
+def test_analyze_non_utf8_file_is_input_error(tmp_path, cube_file, capsys):
+    path = tmp_path / "utf16.domain"
+    with open(cube_file, encoding="utf-8") as fh:
+        path.write_bytes(fh.read().encode("utf-16"))  # starts with the bytes ff fe
+    assert main(["analyze", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("input error: domain file is not UTF-8 text: ")
 
 
 def test_analyze_bad_mesh_diagnostic(tmp_path, capsys):
@@ -188,7 +208,10 @@ _BAD_QUERIES = (
        (["--target", "w1", "--beta", "1,2", "--delta", "abc"], "--delta: 'abc'"),
        (["--target", "w2", "--s", "1/0"], "--s: '1/0'"),
        (["--target", "c1", "--sigma", "abc"], "--sigma: 'abc'"),
-       (["--target", "c2", "--sigma", "1/0"], "--sigma: '1/0'")])
+       (["--target", "c2", "--sigma", "1/0"], "--sigma: '1/0'")]
+    # a nan tolerance would pass every mesh check
+    + [(["--tol", tol], "tol must be a finite number >= 0, got %s" % shown)
+       for tol, shown in (("nan", "nan"), ("-1", "-1.0"), ("inf", "inf"))])
 
 
 @pytest.mark.parametrize("extra,message", _BAD_QUERIES)

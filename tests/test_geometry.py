@@ -113,6 +113,19 @@ def test_unparsable_document():
         loads_polyhedron("vertices: [[0,0,0]\nfaces: {")
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # a square pyramid whose base has one corner lifted out of its plane
+    bent = ([[0, 0, 0], [1, 0, 0], [1, 1, 0.3], [0, 1, 0], [0.5, 0.5, 1]],
+            [(0, 3, 2, 1), (0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
+    with pytest.raises(MeshError, match="not planar"):
+        Polyhedron(*bent)
+    # a nan tolerance passes every comparison, so it would accept the base
+    with pytest.raises(MeshError, match=re.escape("tol must be a finite number >= 0, got %r"
+                                                  % tol)):
+        Polyhedron(*bent, tol=tol)
+
+
 # -- dihedral angles ------------------------------------------------------------
 
 def test_cube_dihedral_is_right_angle(cube):

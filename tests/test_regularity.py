@@ -291,6 +291,17 @@ def test_mixed_stress_domain_second_order_scan():
     assert w2.s_interval == Interval(F(1), F(8, 7), False, True)
 
 
+def test_mixed_stress_domain_scans_start_at_an_exact_two():
+    # the EXIST scan starts where the level 1 - 3/s meets the energy line
+    # -1/2: at the rational 2, closed, written as W1 writes its open 2
+    poly, bc, bounds = load_polyhedron(os.path.join(DOMAINS, "cube-mixed-stress.domain"))
+    spec = ProblemSpec(poly, bc, ALL_FLAGS, vertex_bounds=bounds)
+    exist, w1 = max_s(spec, "EXIST").s_interval, max_s(spec, "W1").s_interval
+    assert exist.lo_key == (F(2), 0) and type(exist.lo) is F
+    assert w1.lo_key == (F(2), 1) and type(w1.lo) is F
+    assert exist.to_dict()["lo"] == w1.to_dict()["lo"] == [2, 1]
+
+
 def test_tangential_velocity_top_holds_at_the_closed_end(cube):
     spec = ProblemSpec(cube, fx.with_conditions(cube, 0, {fx.top_face(cube): 1}), ALL_FLAGS)
     assert max_s(spec, "W2").s_interval == Interval(F(1), F(3, 2), False, True)

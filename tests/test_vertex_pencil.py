@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from polystokes import fixtures as fx
@@ -133,3 +135,29 @@ def test_known_exceptional_catalogue():
     assert known_exceptional([0, 0, 2, 0]) == (1.0, -2.0)
     assert known_exceptional([3, 3, 3]) == (0.0, 1.0)
     assert known_exceptional([0, 1, 0]) == ()
+
+
+def test_catalogue_is_exact(cube):
+    # every strip end and exceptional value of R1-R5 is a Fraction, so a scan
+    # maps it to an exact s and prints it as a rational ([-1/2, 1), not -0.5)
+    ext = fx.cube(complement=True)
+    frustum = fx.slip_frustum()
+    top = [v for v in range(len(frustum.vertices))
+           if fx.top_face(frustum) in frustum.incident_faces(v)][0]
+    findings = {
+        "R1": _finding(ext, fx.with_conditions(ext, 0), 0),
+        "R2": _finding(cube, fx.with_conditions(cube, 0), 0),
+        "R3": _finding(cube, fx.with_conditions(cube, 3), 0, lipschitz_graph=True),
+        "R4": _finding(cube, fx.with_conditions(cube, 0, {fx.top_face(cube): 2}),
+                       cube.faces[fx.top_face(cube)][0]),
+        "R5": _finding(frustum, fx.with_conditions(frustum, 0, {fx.top_face(frustum): 2}),
+                       top, slip_class=True),
+    }
+    for rule, f in findings.items():
+        assert rule in f.rules
+        values = [f.free.lo, f.free.hi] + [v for v, _ in f.exceptional]
+        assert all(type(x) is Fraction for x in values), (rule, values)
+        assert "-0.5" not in f.describe()
+    assert str(findings["R2"].free) == "[-1/2, 1)"
+    for pattern in ([0], [0, 2], [3], [1, 0]):
+        assert all(type(x) is Fraction for x in known_exceptional(pattern))
