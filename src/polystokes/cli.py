@@ -218,6 +218,9 @@ def _cmd_pencil(args) -> int:
     except WindowError as exc:
         print("argument error: --window %r: %s" % (args.window, exc), file=sys.stderr)
         return 1
+    except ValueError as exc:  # the opening is too small to collocate
+        print("argument error: --theta %r: %s" % (args.theta, exc), file=sys.stderr)
+        return 1
     residuals = pencil_residuals(pencil, spec.eigenvalues, args.n)
     rows = [{"re": ev.real, "im": ev.imag, "multiplicity": m, "residual": res}
             for ev, m, res in zip(spec.eigenvalues, spec.multiplicities, residuals)]

@@ -34,6 +34,7 @@ blocks separately.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, eig, lu_factor, lu_solve, svdvals
-from scipy.optimize import brentq
 
 from .geometry import MU_THRESHOLD_TWO_THIRDS, special_opening
 
@@ -64,6 +64,8 @@ __all__ = [
 
 
 _ROOT_XTOL = 1e-14  # bracketing tolerance of the real-root closed form
+_ROOT_RTOL = 4 * sys.float_info.epsilon  # and its relative part
+_ROOT_ITER = 100
 _STAB_TOL = 1e-6    # a kept eigenvalue reproduces under n -> 2n within this
 _RES_TOL = 1e-8     # and its normalized pencil residual stays below this
 _RE_MIN = 1e-3      # real parts up to this belong to the zero eigenvalue
@@ -75,7 +77,8 @@ class WindowError(RuntimeError):
 
 
 class BracketingError(RuntimeError):
-    """No sign change found when bracketing a real root (should not happen)."""
+    """No sign change found when bracketing a real root, or no convergence
+    inside it (should not happen)."""
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,53 @@ def dd_nn_residual(lam: complex, theta: float) -> complex:
                                   - np.sin(lam * theta) ** 2)
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of ``f`` in [xa, xb], where ``f`` changes sign, by Brent's method
+    (Brent, *Algorithms for Minimization without Derivatives*, 1973).
+
+    A line-for-line port of scipy's ``brentq.c`` with xtol ``_ROOT_XTOL``,
+    rtol 4 eps and at most 100 iterations, so it returns the same float as
+    ``scipy.optimize.brentq`` at those settings.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise BracketingError("f(%r) and f(%r) have the same sign" % (xa, xb))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise BracketingError("no convergence in %d iterations in [%r, %r]" % (_ROOT_ITER, xa, xb))
+
+
 def mu_real_root(theta: float) -> float:
     """Edge exponent for the (0,0)/(3,3) pairs: pi/theta up to pi, otherwise
     the smallest positive root of sin(m*theta) + m*sin(theta) = 0.
@@ -167,7 +217,7 @@ def mu_real_root(theta: float) -> float:
         b = min(a + step, 1.0)
         fb = f(b)
         if fa * fb <= 0.0:
-            return brentq(f, a, b, xtol=_ROOT_XTOL)
+            return _brentq(f, a, b)
         a, fa = b, fb
     raise BracketingError("no root of the edge equation in (0, 1) for theta=%r" % theta)
 
@@ -213,8 +263,12 @@ def _blocks(p: DihedronPencil, n: int) -> _Collocation:
     D1, x = _cheb(n)
     half = p.theta / 2.0
     phi = half * x                     # phi[0] = +theta/2, phi[n] = -theta/2
-    D = D1 / half
-    D2 = D @ D
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        D = D1 / half
+        D2 = D @ D
+    if not np.isfinite(D2).all():
+        raise ValueError("opening %r is too small for collocation size %d: "
+                         "the collocated pencil overflows" % (p.theta, n))
     m = n + 1
     size = 4 * m
     A = np.zeros((size, size))

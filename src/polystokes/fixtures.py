@@ -11,7 +11,6 @@ import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .geometry import BC_NAMES, BoundaryAssignment, Polyhedron, VertexBound
 
@@ -56,6 +55,8 @@ def _platonic_vertices(name: str) -> np.ndarray:
 
 def _hull_faces(vertices: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
     """Outward-oriented polygonal faces of the convex hull of the vertices."""
+    # imported on use: `analyze` and `pencil` never build a fixture mesh
+    from scipy.spatial import ConvexHull
     hull = ConvexHull(vertices)
     # group coplanar simplices by their hull equation
     groups: Dict[Tuple[int, ...], list] = {}

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
-from scipy.optimize import linprog
 
 __all__ = [
     "MU_THRESHOLD_TWO_THIRDS",
@@ -145,6 +144,14 @@ class BoundaryAssignment:
         return self.d
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, from their scalar components: the same
+    IEEE products and differences, without its per-call axis handling."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v)
     if n == 0:
@@ -158,7 +165,7 @@ def _newell_normal(pts: np.ndarray) -> np.ndarray:
     for i in range(len(pts)):
         a = pts[i]
         b = pts[(i + 1) % len(pts)]
-        nrm += np.cross(a, b)
+        nrm += _cross(a, b)
     return 0.5 * nrm
 
 
@@ -275,7 +282,7 @@ class Polyhedron:
         e = _unit(self.vertices[b] - self.vertices[a])
         n1 = self.face_normals[k_plus]
         n2 = self.face_normals[k_minus]
-        s = float(np.dot(np.cross(n1, n2), e))
+        s = float(np.dot(_cross(n1, n2), e))
         c = float(-np.dot(n1, n2))
         theta = math.atan2(s, c) % (2 * math.pi)
         if theta <= 0 or theta >= 2 * math.pi:
@@ -300,7 +307,7 @@ class Polyhedron:
         for loop in self.faces:
             pts = self.vertices[list(loop)]
             for i in range(1, len(loop) - 1):
-                vol += np.dot(pts[0], np.cross(pts[i], pts[i + 1])) / 6.0
+                vol += np.dot(pts[0], _cross(pts[i], pts[i + 1])) / 6.0
         return float(vol)
 
     def is_convex(self) -> bool:
@@ -363,13 +370,21 @@ class Polyhedron:
             b = _unit(self.vertices[loop[(i - 1) % len(loop)]] - v)
             nf = self.face_normals[k]
             # interior corner angle of the face at v, in (0, 2*pi)
-            ang = math.atan2(float(np.dot(np.cross(a, b), nf)), float(np.dot(a, b))) % (2 * math.pi)
-            out += [a, math.cos(ang / 2) * a + math.sin(ang / 2) * np.cross(nf, a)]
+            ang = math.atan2(float(np.dot(_cross(a, b), nf)), float(np.dot(a, b))) % (2 * math.pi)
+            out += [a, math.cos(ang / 2) * a + math.sin(ang / 2) * _cross(nf, a)]
         return np.array(out)
 
     def __repr__(self):
         return "Polyhedron(name=%r, V=%d, E=%d, F=%d, complement=%r)" % (
             self.name, len(self.vertices), len(self.edges), len(self.faces), self.complement)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: only the
+    Lipschitz-graph check at stress-only vertices needs it, and the import
+    costs more than most ops."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 def graph_direction_feasible(normals: np.ndarray, tol: float = 1e-9) -> bool:
@@ -429,14 +444,19 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# libyaml's parser when PyYAML was built with it; the pure-Python one is the
+# only parser an install without libyaml has
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def loads_polyhedron(text: str, tol: float = 1e-9):
     """Parse a domain document; returns (Polyhedron, BoundaryAssignment, bounds).
 
     ``bounds`` maps vertex index -> VertexBound (user-supplied spectral bounds).
     """
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml reads UTF-8 bytes
         raise DomainFileError("unparsable domain file: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise DomainFileError("domain file must be a mapping")

@@ -78,6 +78,12 @@ class ProblemSpec:
         if len(self.bc.d) != len(self.poly.faces):
             raise ValueError("boundary assignment does not match the face count")
 
+    @functools.cached_property
+    def findings(self) -> Dict[int, StripFinding]:
+        """:func:`vertex_findings` of this spec, computed on first use: every
+        target checked or scanned on the spec reads the same findings."""
+        return vertex_findings(self)
+
 
 @dataclass(frozen=True)
 class RegularityQuery:
@@ -483,7 +489,7 @@ def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> Reg
                              "the condition; a numeric pencil solve may sharpen it" % e.id)
         edges_ok = edges_ok and ok
     # vertices: no eigenvalues in the strip between -1/2 and the level line
-    findings = vertex_findings(spec)
+    findings = spec.findings
     guaranteed = known_exceptional(spec.bc.values())
     row = _row_fallback(spec, rule.target) \
         if not holder and query.is_nonweighted() else None
@@ -569,7 +575,7 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
         constraints.append(([_s_window(_edge_window(rule, mu), 0, 2)], lo_label, label))
     conditional = False
     row = _row_fallback(spec, target)  # every row max_s scans has the class-row fallback
-    for v, f in vertex_findings(spec).items():
+    for v, f in spec.findings.items():
         if f.unknown and row is None:
             conditional = True
             rep.vertices.append(VertexCheck(v, f.describe(), "-", False,

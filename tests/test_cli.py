@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -67,6 +68,14 @@ def test_pencil_window_error_is_an_argument_error(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("argument error: --window '0,1e200': every shift tried")
+
+
+def test_pencil_tiny_opening_is_an_argument_error(capsys):
+    # at this opening the collocated derivatives overflow to inf
+    assert main(["pencil", "--theta", "1e-300", "--bc", "0,0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("argument error: --theta '1e-300': opening 1e-300 is too small")
 
 
 def test_analyze_rejects_small_collocation(tmp_path, capsys):
@@ -327,3 +336,27 @@ def test_pencil_residuals_from_one_assembly(capsys):
     assert out["eigenvalues"]
     for row in out["eigenvalues"]:
         assert row["residual"] == pencil_residual(p, complex(row["re"], row["im"]), 16)
+
+
+_LEAN_IMPORT = """
+import contextlib, io, json, sys
+from polystokes import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["analyze", "--input", sys.argv[1]]),
+             cli.main(["analyze", "--input", sys.argv[2], "--assume", "lipschitz"])]
+print(json.dumps({"codes": codes, "loaded": [m for m in ("scipy.optimize", "scipy.spatial")
+                                             if m in sys.modules]}))
+"""
+
+
+def test_analyze_imports_neither_optimize_nor_spatial():
+    # a fresh interpreter: the cube exterior's 3*pi/2 edges take the real-root
+    # closed form, and the lipschitz flag reaches the vertex rules
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _LEAN_IMPORT,
+         os.path.join(root, "perfbench", "data", "cube-exterior.domain"), SHIPPED_CUBE],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0], "loaded": []}

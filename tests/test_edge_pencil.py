@@ -77,6 +77,24 @@ def test_mu_threshold_bounds():
         assert (mu > 4.0 / 3.0) == (t < 0.75 * math.pi)
 
 
+def test_mu_real_root_is_scipy_brentq_to_the_bit(monkeypatch):
+    # the same bracket scan, with scipy's Brent iteration at the same settings
+    from scipy.optimize import brentq
+    thetas = list(np.linspace(math.pi, 2 * math.pi, 2001)[1:-1]) + [
+        1.5 * math.pi - 1e-12, 1.5 * math.pi + 1e-12, 2 * math.pi - 1e-9,
+        MU_THRESHOLD_TWO_THIRDS, 2 * math.pi - math.acos(1.0 / 3.0)]
+    ours = [mu_real_root(t) for t in thetas]
+    monkeypatch.setattr(ep, "_brentq", lambda f, a, b: brentq(
+        f, a, b, xtol=ep._ROOT_XTOL, rtol=4 * np.finfo(float).eps, maxiter=100))
+    assert [float.hex(m) for m in ours] == [float.hex(mu_real_root(t)) for t in thetas]
+
+
+def test_brent_needs_a_sign_change():
+    with pytest.raises(ep.BracketingError, match="same sign"):
+        ep._brentq(lambda x: x * x + 1.0, 0.0, 1.0)
+    assert ep._brentq(lambda x: x - 0.25, 0.0, 0.25) == 0.25  # an end that is a root
+
+
 def test_mu_rejects_invalid_theta():
     with pytest.raises(ValueError):
         mu_real_root(0.0)

@@ -7,8 +7,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import yaml
 
 from polystokes import fixtures as fx
+from polystokes import geometry
 from polystokes.geometry import (BC_INDEX, MeshError, DomainFileError, Polyhedron,
                                  VertexBound, load_polyhedron, loads_polyhedron)
 from polystokes.regularity import ProblemSpec, RegularityQuery, check, max_s
@@ -111,6 +113,42 @@ def test_document_numbers_without_a_point_load(cube):
 def test_unparsable_document():
     with pytest.raises(DomainFileError, match="unparsable"):
         loads_polyhedron("vertices: [[0,0,0]\nfaces: {")
+
+
+def _loaded(text):
+    poly, bc, bounds = loads_polyhedron(text)
+    return (poly.vertices.tolist(), poly.faces, poly.complement, poly.name, bc.values(),
+            {v: (b.bound, b.note) for v, b in bounds.items()})
+
+
+def test_both_yaml_loaders_read_the_same_domains(monkeypatch):
+    # libyaml's parser is used where PyYAML has it; the pure-Python one is the
+    # only parser elsewhere
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    texts = []
+    for path in DOMAINS + sorted(glob.glob(os.path.join(root, "perfbench", "data", "*.domain"))):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    for name in fx.PLATONIC_NAMES:
+        poly = fx.platonic(name)
+        texts.append(fx.domain_document(poly, fx.with_conditions(poly, 0, {0: 3}),
+                                        {1: VertexBound(0.25, "a note: with 'quotes'")}))
+    assert len(texts) == 15
+    fast = [_loaded(t) for t in texts]
+    monkeypatch.setattr(geometry, "_YAML_LOADER", yaml.SafeLoader)
+    assert [_loaded(t) for t in texts] == fast
+
+
+@pytest.mark.parametrize("text", [
+    "vertices: [[0,0,0]\nfaces: {", "vertices:\n\t- [0, 0, 0]\n", "name: 'open\nfaces: []\n",
+    "a: b: c\n", "vertices: *missing\n", "- x\ny: z\n", "\x00", "\x7f: 1\n",
+    "a: !!python/object:os.system x\n", "vertices: [\ud800]\n"])
+@pytest.mark.parametrize("loader", ["C", "pure Python"])
+def test_both_yaml_loaders_refuse_malformed_yaml(monkeypatch, text, loader):
+    if loader != "C":
+        monkeypatch.setattr(geometry, "_YAML_LOADER", yaml.SafeLoader)
+    with pytest.raises(DomainFileError, match="^unparsable domain file: "):
+        loads_polyhedron(text)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
