@@ -7,6 +7,7 @@ input errors, 2 for verification-fixture failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -364,6 +365,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was: build it once, on first use
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polystokes",

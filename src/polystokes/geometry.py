@@ -9,8 +9,8 @@ dihedral angle and no further mesh data is needed.
 Angles are always reported as measured inside the fluid.  An opening within
 ``tol`` of a special opening is stored as exactly that float, so threshold
 comparisons downstream are exact and no rigid motion moves one across.
-Snapping never enters the vertex-cone predicate, which recomputes the angles
-it needs from the face normals.
+Snapping never enters the vertex-cone predicate, which reads the unsnapped
+angles kept beside the edges.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ class Polyhedron:
             raise MeshError("tol must be a finite number >= 0, got %r" % (tol,))
         self._validate_basic()
         self.face_normals, self.face_areas = self._face_planes()
-        self.edges = self._derive_edges()
+        self.edges, self._solid_angles = self._derive_edges()
         self._validate_global()
         self._cone_cache: Dict[int, VertexCone] = {}
 
@@ -253,13 +253,15 @@ class Polyhedron:
                     raise MeshError("face %d contains a zero-length edge" % k)
         return normals, areas
 
-    def _derive_edges(self) -> Tuple[Edge, ...]:
+    def _derive_edges(self) -> Tuple[Tuple[Edge, ...], Tuple[float, ...]]:
+        """The edges, and the solid's unsnapped dihedral angle at each (by
+        edge id) for the vertex-cone predicate."""
         directed: Dict[Tuple[int, int], List[int]] = {}
         for k, loop in enumerate(self.faces):
             for i in range(len(loop)):
                 a, b = loop[i], loop[(i + 1) % len(loop)]
                 directed.setdefault((a, b), []).append(k)
-        edges = []
+        edges, solid_angles = [], []
         seen = set()
         for (a, b), ks in directed.items():
             if len(ks) != 1:
@@ -275,7 +277,8 @@ class Polyhedron:
             theta = 2 * math.pi - theta_solid if self.complement else theta_solid
             theta = special_opening(theta, self.tol)[0]
             edges.append(Edge(len(edges), (a, b), (k_plus, k_minus), theta))
-        return tuple(edges)
+            solid_angles.append(theta_solid)
+        return tuple(edges), tuple(solid_angles)
 
     def _solid_dihedral(self, a: int, b: int, k_plus: int, k_minus: int) -> float:
         """Interior dihedral angle of the solid along edge (a, b)."""
@@ -342,10 +345,10 @@ class Polyhedron:
             # form one fan around the vertex, Girard's theorem on the unit
             # sphere gives that angle as sum(theta_e) - (k - 2)*pi over the k
             # incident edges, theta_e the fluid dihedral angles, so the test
-            # is sum(theta_e) < k*pi.  The angles are recomputed unsnapped:
+            # is sum(theta_e) < k*pi.  The angles are the unsnapped ones:
             # near a flat vertex all of them may snap to exactly pi.
             edges = self.incident_edges(vertex)
-            solid = [self._solid_dihedral(*e.endpoints, *e.adjacent_faces) for e in edges]
+            solid = [self._solid_angles[e.id] for e in edges]
             fluid = sum(2 * math.pi - t if self.complement else t for t in solid)
             contained = fluid < len(edges) * math.pi
         cone = VertexCone(vertex, self.face_normals[list(faces)], contained)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -83,6 +83,12 @@ class ProblemSpec:
         """:func:`vertex_findings` of this spec, computed on first use: every
         target checked or scanned on the spec reads the same findings."""
         return vertex_findings(self)
+
+    @functools.cached_property
+    def _exponents(self) -> Dict[tuple, Tuple[Optional[MuValue], str]]:
+        """What :func:`_edge_exponent` returned, by (quantity, d_plus, d_minus,
+        theta, numeric_n): the edges of one wedge share one computation."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -171,8 +177,12 @@ class RegularityReport:
             "verdict": self.verdict,
             "s": None if self.s is None else float(self.s),
             "sigma": None if self.sigma is None else float(self.sigma),
-            "edges": [asdict(e) for e in self.edges],
-            "vertices": [asdict(v) for v in self.vertices],
+            "edges": [{"edge": e.edge, "theta": e.theta, "mu": e.mu,
+                       "mu_provenance": e.mu_provenance, "requirement": e.requirement,
+                       "satisfied": e.satisfied} for e in self.edges],
+            "vertices": [{"vertex": v.vertex, "finding": v.finding,
+                          "requirement": v.requirement, "satisfied": v.satisfied,
+                          "justification": v.justification} for v in self.vertices],
             "s_interval": None if self.s_interval is None else self.s_interval.to_dict(),
             "binding": self.binding,
             "sharp": list(self.sharp),
@@ -236,12 +246,19 @@ def vertex_findings(spec: ProblemSpec) -> Dict[int, StripFinding]:
 def _edge_exponent(spec: ProblemSpec, edge: Edge, rule: _Rule,
                    numeric_n: int) -> Tuple[Optional[MuValue], str]:
     """The rule's exponent at one edge, or None and the reason when no
-    window certifies it."""
+    window certifies it; computed once per spec for each wedge.  The key
+    keeps the pair's order and the exact opening, so an edge reads the value
+    it would compute itself."""
     quantity = "lambda1" if rule.kind == "existence" else "mu"
-    try:
-        return edge_exponent(quantity, *spec.bc.pair(edge), edge.theta, n=numeric_n), ""
-    except WindowError as exc:
-        return None, "exponent not certified: %s" % exc
+    d_plus, d_minus = spec.bc.pair(edge)
+    key = (quantity, d_plus, d_minus, edge.theta, numeric_n)
+    memo = spec._exponents
+    if key not in memo:
+        try:
+            memo[key] = edge_exponent(quantity, d_plus, d_minus, edge.theta, n=numeric_n), ""
+        except WindowError as exc:
+            memo[key] = None, "exponent not certified: %s" % exc
+    return memo[key]
 
 
 def _require_velocity_edges(spec: ProblemSpec, detail: str = "") -> None:
@@ -553,6 +570,7 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
         iv = floor.window if floor.scope == "s" else _s_window(floor.window, 0, 3)
         constraints.append(([iv], label, label))
     uncertified_edges = False
+    windows: Dict[MuValue, Interval] = {}  # the edges of one wedge share a window
     for e in spec.poly.edges:
         mu, why = _edge_exponent(spec, e, rule, numeric_n)
         label = "edge %d (theta=%.6g)" % (e.id, e.theta)
@@ -572,7 +590,9 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
         if mu.is_lower_bound and not existence:
             label = "edge %d via guaranteed bound mu > %s" % (e.id, mu.bound)
         rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, req, True))
-        constraints.append(([_s_window(_edge_window(rule, mu), 0, 2)], lo_label, label))
+        if mu not in windows:
+            windows[mu] = _s_window(_edge_window(rule, mu), 0, 2)
+        constraints.append(([windows[mu]], lo_label, label))
     conditional = False
     row = _row_fallback(spec, target)  # every row max_s scans has the class-row fallback
     for v, f in spec.findings.items():

@@ -1,5 +1,6 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -225,22 +226,27 @@ def test_criterion_7_property_suites(step_dirichlet, monkeypatch):
     import polystokes.regularity as reg
     base_mu = reg.edge_exponent
     rng = np.random.default_rng(99)
+    inflated_calls = []
     for _ in range(50):
         s = F(int(rng.integers(21, 44)), 10)
         q = RegularityQuery("W1", s=s)
         monkeypatch.setattr(reg, "edge_exponent", base_mu)
-        before = check(step_dirichlet, q).verdict
+        # a fresh spec for each check: a spec keeps the exponents it computed
+        before = check(dataclasses.replace(step_dirichlet), q).verdict
         bump = float(rng.uniform(0.01, 0.8))
 
         def inflated(quantity, d_plus, d_minus, theta, n=32, _b=bump):
+            inflated_calls.append(theta)
             mv = base_mu(quantity, d_plus, d_minus, theta, n)
             return MuValue(mv.value + _b, mv.provenance, mv.role, False, mv.note)
 
         monkeypatch.setattr(reg, "edge_exponent", inflated)
-        after = check(step_dirichlet, q).verdict
+        after = check(dataclasses.replace(step_dirichlet), q).verdict
         if before == "holds" and after != "holds":
             failures.append("verdict monotonicity at s=%s" % s)
             break
+    if not inflated_calls:
+        failures.append("verdict monotonicity: the inflated exponents were never read")
     monkeypatch.setattr(reg, "edge_exponent", base_mu)
     _report(7, not failures, "property suites"
             + ("" if not failures else ": " + "; ".join(failures)))

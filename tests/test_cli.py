@@ -115,6 +115,22 @@ def test_analyze_json_roundtrip(step_file, capsys):
         assert back.to_dict() == rep
 
 
+def test_shared_parser_carries_no_state(step_file, capsys):
+    from polystokes.cli import build_parser
+    assert build_parser() is build_parser()
+    assert main(["analyze", "--input", step_file, "--target", "w1", "--format", "json"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == ["class_results", "w1"]
+    # the default targets, not the list the call before appended to
+    assert main(["analyze", "--input", step_file, "--format", "json"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == ["class_results", "exist", "w1", "w2"]
+    with pytest.raises(SystemExit):
+        main(["analyze", "--target", "w2"])  # no --input
+    assert "--input" in capsys.readouterr().err
+    assert main(["analyze", "--input", step_file, "--target", "w2", "--s", "5/4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("domain: ") and "w2: " in out and "w1: " not in out
+
+
 def test_analyze_point_check(step_file, capsys):
     assert main(["analyze", "--input", step_file, "--target", "w1", "--s", "4"]) == 0
     assert "holds" in capsys.readouterr().out

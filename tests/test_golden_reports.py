@@ -16,6 +16,7 @@ replaces, so that a visible change can list them.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -121,7 +122,8 @@ def library_specs():
     return specs, only_exist
 
 
-def _library_cases():
+def _library_calls():
+    """(case name, function, spec, query or target) of every library case."""
     specs, only_exist = library_specs()
     queries = {
         "W1-5_2": RegularityQuery("W1", s=F(5, 2)),
@@ -146,18 +148,19 @@ def _library_cases():
         "EXIST-floors": RegularityQuery("EXIST", s=F(2), beta=F(3, 4), delta=F(1)),
         "EXIST-weighted": RegularityQuery("EXIST", s=F(3), beta=F(1, 2), delta=F(1, 4)),
     }
-    cases = {}
     for sname, spec in list(specs.items()) + list(only_exist.items()):
         targets = ("EXIST",) if sname in only_exist else ("W1", "W2", "C1", "C2", "EXIST")
         for qname, q in queries.items():
             if q.target in targets:
-                cases["lib:%s:check:%s" % (sname, qname)] = (
-                    lambda spec=spec, q=q: _report(check, spec, q))
+                yield "lib:%s:check:%s" % (sname, qname), check, spec, q
         for target in ("W1", "W2", "EXIST"):
             if target in targets:
-                cases["lib:%s:max_s:%s" % (sname, target)] = (
-                    lambda spec=spec, target=target: _report(max_s, spec, target))
-    return cases
+                yield "lib:%s:max_s:%s" % (sname, target), max_s, spec, target
+
+
+def _library_cases():
+    return {name: (lambda fn=fn, spec=spec, arg=arg: _report(fn, spec, arg))
+            for name, fn, spec, arg in _library_calls()}
 
 
 def all_cases():
@@ -200,6 +203,22 @@ def test_golden_cases_match_the_file(golden):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_report(case, golden, no_qz):
     assert digest(CASES[case]()) == golden[case], case
+
+
+def test_to_dict_covers_every_field(no_qz):
+    # the report builds its edge and vertex records field by field: a field
+    # added later must reach the JSON too
+    reports = []
+    for _, fn, spec, arg in _library_calls():
+        try:
+            reports.append(fn(spec, arg))
+        except ValueError:  # the cases whose golden digest is the error message
+            pass
+    records = [(x, d) for rep in reports
+               for x, d in zip(rep.edges + rep.vertices,
+                               rep.to_dict()["edges"] + rep.to_dict()["vertices"])]
+    assert len(records) == sum(len(rep.edges) + len(rep.vertices) for rep in reports) > 0
+    assert all(d == dataclasses.asdict(x) for x, d in records)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 
 from polystokes import fixtures as fx
 from polystokes.edge_pencil import MuValue
-from polystokes.geometry import load_polyhedron
+from polystokes.geometry import BoundaryAssignment, load_polyhedron
 from polystokes.regularity import (DataFlags, Interval, ProblemSpec,
                                    RegularityQuery, RegularityReport, check,
                                    decision_table, matching_rows, max_s,
@@ -345,23 +346,26 @@ def test_verdict_monotone_in_mu(step_dirichlet, monkeypatch):
     import polystokes.regularity as reg
     rng = np.random.default_rng(17)
     base_mu = reg.edge_exponent
-    flips = []
+    flips, inflated_calls = [], []
     for _ in range(50):
         s = F(int(rng.integers(21, 44)), 10)
         q = RegularityQuery("W1", s=s)
         monkeypatch.setattr(reg, "edge_exponent", base_mu)
-        before = check(step_dirichlet, q).verdict
+        # a fresh spec for each check: a spec keeps the exponents it computed
+        before = check(dataclasses.replace(step_dirichlet), q).verdict
         bump = float(rng.uniform(0.01, 0.8))
 
         def inflated(quantity, d_plus, d_minus, theta, n=32, _b=bump):
+            inflated_calls.append(theta)
             mv = base_mu(quantity, d_plus, d_minus, theta, n)
             return MuValue(mv.value + _b, mv.provenance, mv.role, False, mv.note)
 
         monkeypatch.setattr(reg, "edge_exponent", inflated)
-        after = check(step_dirichlet, q).verdict
+        after = check(dataclasses.replace(step_dirichlet), q).verdict
         if before == "holds":
             flips.append(after != "holds")
     monkeypatch.setattr(reg, "edge_exponent", base_mu)
+    assert inflated_calls, "the inflated exponents were never read"
     assert not any(flips)
 
 
@@ -400,6 +404,67 @@ def test_uncertified_edge_exponent_gives_unknown(cube, monkeypatch, tmp_path, ca
     assert main(["analyze", "--input", str(path), "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["w1"]["verdict"] == out["w2"]["verdict"] == "unknown"
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that logs (args, kwargs) of each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_one_exponent_per_wedge_per_spec(cube, monkeypatch, tmp_path, capsys):
+    # the edges of one spec that share a wedge (the ordered pair and the exact
+    # opening) share one exponent, across edges, targets and both entry points
+    import polystokes.edge_pencil as ep
+    from polystokes.cli import main
+    roots = _counting(monkeypatch, ep, "mu_real_root")
+    solves = _counting(monkeypatch, ep, "mu_numeric")
+    # the exterior cube: twelve velocity edges at 3*pi/2 and the targets w1,
+    # w2 (mu) and exist (lambda1), one real root per quantity
+    assert main(["analyze", "--input", os.path.join(DOMAINS, "cube-exterior.domain")]) == 0
+    assert [args for args, _ in roots] == [(1.5 * math.pi,)] * 2
+    assert not solves
+    # tangential velocity on the x and z faces, stress on the y faces: eight
+    # numeric edges at pi/2, four of them (1,3) and four (3,1), one solve each
+    axis = np.argmax(np.abs(cube.face_normals), axis=1)
+    bc = BoundaryAssignment(tuple(3 if a == 1 else 1 for a in axis))
+    wedges = sorted({(e.theta, *bc.pair(e)) for e in cube.edges if 3 in bc.pair(e)})
+    assert wedges == [(0.5 * math.pi, 1, 3), (0.5 * math.pi, 3, 1)]
+    path = tmp_path / "tangential-stress.domain"
+    path.write_text(fx.domain_document(cube, bc))
+    assert main(["analyze", "--input", str(path), "--target", "w1", "--target", "w2"]) == 0
+    assert sorted(args for args, _ in solves) == wedges
+    capsys.readouterr()
+    # one spec, two collocation sizes: each size solved once per wedge
+    solves.clear()
+    spec = ProblemSpec(cube, bc, ALL_FLAGS)
+    for n in (16, 24, 16, 24):
+        check(spec, RegularityQuery("W1", s=F(5, 2)), numeric_n=n)
+        max_s(spec, "W2", numeric_n=n)
+    assert sorted((kwargs["n"], *args) for args, kwargs in solves) == sorted(
+        (n, *w) for n in (16, 24) for w in wedges)
+    # a window that certifies nothing is kept with its reason
+    failed = []
+
+    def no_window(*args, **kwargs):
+        failed.append(args)
+        raise ep.WindowError("could not certify the edge exponent up to Re = 9.83")
+
+    monkeypatch.setattr(ep, "mu_numeric", no_window)
+    spec = ProblemSpec(cube, bc, ALL_FLAGS)
+    reps = [check(spec, RegularityQuery("W1", s=F(5, 2))), max_s(spec, "W1")]
+    assert sorted(failed) == wedges
+    uncertified = [e for rep in reps for e in rep.edges if e.mu_provenance == "-"]
+    assert len(uncertified) == 16
+    assert all(e.requirement == "exponent not certified: could not certify the edge "
+               "exponent up to Re = 9.83" for e in uncertified)
 
 
 def test_all_slip_cube_scan_is_exact(cube, monkeypatch):
