@@ -109,8 +109,9 @@ class Spectrum:
     carries a two-dimensional kernel).  ``unresolved`` lists window candidates
     that passed the residual test at the finer discretization but failed to
     reproduce under refinement; they are reported rather than silently
-    dropped.  Every listed value passed that residual test; the residuals
-    themselves come from :func:`pencil_residuals`.
+    dropped.  Every listed value passed that residual test, which decides
+    "at most ``_RES_TOL``" without computing the residual where a bound
+    settles it; the residuals themselves come from :func:`pencil_residuals`.
     """
 
     eigenvalues: Tuple[complex, ...]
@@ -284,29 +285,27 @@ def _blocks(p: DihedronPencil, n: int) -> _Collocation:
         # add to row r coef times the derivative along w, at node k, of the
         # unknown on cols; that unknown carries r^(lam + degree), so the
         # derivative, scaled by r^(1 - lam - degree), is
-        # (w.e_phi) d/dphi + (lam + degree)(w.e_r)
+        # (w.e_phi) d/dphi + (lam + degree)(w.e_r); r and k may be matching
+        # arrays of rows and nodes, which take the same float operations
         w_r = w[0] * cos[k] + w[1] * sin[k]
         w_phi = w[1] * cos[k] - w[0] * sin[k]
-        A[r, cols] += coef * w_phi * D[k]
+        A[r, cols] += (coef * w_phi)[..., None] * D[k]
         A[r, cols.start + k] += coef * degree * w_r
         B[r, cols.start + k] += coef * w_r
 
-    r = 0
-    antiplane = []  # the rows of the z-momentum and e_z boundary conditions
+    interior = np.arange(1, n)
     # momentum -nu (d^2/dphi^2 + lam^2) u_i + d/dx_i p at interior nodes
     for i in range(3):
-        if i == 2:
-            antiplane.extend(range(r, r + n - 1))
-        for k in range(1, n):
-            A[r, U[i]] -= nu * D2[k, :]
-            C[r, U[i].start + k] -= nu
-            derivative(r, k, axes[i], P, degree=-1)
-            r += 1
+        rows = i * (n - 1) + interior - 1
+        A[rows, U[i]] -= nu * D2[1:n]
+        C[rows, U[i].start + interior] -= nu
+        derivative(rows, interior, axes[i], P, degree=-1)
+    antiplane = list(range(2 * (n - 1), 3 * (n - 1)))  # the z-momentum rows, then e_z rows
     # divergence at every node
-    for k in range(m):
-        for j in range(3):
-            derivative(r, k, axes[j], U[j])
-        r += 1
+    nodes = np.arange(m)
+    for j in range(3):
+        derivative(3 * (n - 1) + nodes, nodes, axes[j], U[j])
+    r = 3 * (n - 1) + m
     # boundary rows; endpoint momentum slots are replaced by the traces
     for e, d, sgn in ((0, p.d_plus, 1.0), (n, p.d_minus, -1.0)):
         normal = np.array([-sgn * sin[e], sgn * cos[e], 0.0])
@@ -346,24 +345,69 @@ def assemble_pencil(p: DihedronPencil, lam: complex, n: int) -> np.ndarray:
     return _evaluate(_blocks(p, n).full, lam)
 
 
-def _residual(pencil: _Collocation, lam: complex) -> float:
-    # the singular values of T(lam) are those of its two diagonal blocks;
-    # T(conj lam) = conj T(lam) has the same ones, so T is taken at the member
-    # with Im >= 0, and at a real lam in real arithmetic
+def _upper(lam: complex):
+    """The member of lam's conjugate pair with Im >= 0, a float when real:
+    T(conj lam) = conj T(lam) has the same singular values, and a real lam is
+    scored in real arithmetic."""
     lam = complex(lam)
-    lam = lam.real if lam.imag == 0 else complex(lam.real, abs(lam.imag))
-    sv = [svdvals(_evaluate(block, lam)) for block in pencil.blocks]
+    return lam.real if lam.imag == 0 else complex(lam.real, abs(lam.imag))
+
+
+def _residual(pencil: _Collocation, lam: complex) -> float:
+    """Normalized smallest singular value of T(lam): the singular values of
+    T(lam) are those of its two diagonal blocks, one SVD each, taken at the
+    member of lam's conjugate pair with Im >= 0 (:func:`_upper`)."""
+    sv = [svdvals(_evaluate(block, _upper(lam))) for block in pencil.blocks]
     return float(min(s[-1] for s in sv) / max(s[0] for s in sv))
 
 
-def _residuals(pencil: _Collocation, lams: Sequence[complex]) -> List[float]:
-    """:func:`_residual` at each of ``lams``, once per conjugate pair."""
+def _residual_bound(pencil: _Collocation, lam: complex) -> float:
+    """An upper bound of :func:`_residual` at ``lam`` from one LU solve per
+    block, at the member of lam's conjugate pair with Im >= 0.
+
+    Any nonzero x bounds the smallest singular value of a block from above by
+    ||T_b x|| / ||x||, and the largest |t_ij| of both blocks bounds their
+    largest singular value from below, so the ratio of the two bounds the
+    residual from above (Tisseur, Linear Algebra Appl. 309, 2000).  Solving
+    T_b x = e with the ramp e_k = 1 + k/size gives an x near the null vector
+    when lam is an eigenvalue of that block; an all-ones e is orthogonal to
+    the odd null vectors of equal-condition wedges.
+    """
+    T = [_evaluate(block, _upper(lam)) for block in pencil.blocks]
+    best = math.inf
+    for t in T:
+        try:
+            x = np.linalg.solve(t, 1.0 + np.arange(len(t)) / len(t))
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            continue
+        x /= np.abs(x).max()  # no norm below overflows; an x that did turns into nan
+        best = min(best, float(np.linalg.norm(t @ x) / np.linalg.norm(x)))  # min skips nan
+    return best / float(max(np.abs(t).max() for t in T))
+
+
+def _residual_passes(pencil: _Collocation, lam: complex) -> bool:
+    """Whether :func:`_residual` at ``lam`` is at most ``_RES_TOL``.
+
+    A :func:`_residual_bound` at most ``_RES_TOL``/2 settles it without the
+    SVDs, the slack covering the rounding of the bound and of the SVDs;
+    otherwise the SVDs decide, so the answer is always theirs.
+    """
+    return _residual_bound(pencil, lam) <= 0.5 * _RES_TOL or _residual(pencil, lam) <= _RES_TOL
+
+
+def _per_pair(score, pencil: _Collocation, lams: Sequence[complex]) -> list:
+    """``score(pencil, lam)`` at each of ``lams``, once per conjugate pair."""
     done = {}
     for lam in lams:
         key = (lam.real, abs(lam.imag))
         if key not in done:
-            done[key] = _residual(pencil, lam)
+            done[key] = score(pencil, lam)
     return [done[lam.real, abs(lam.imag)] for lam in lams]
+
+
+def _residuals(pencil: _Collocation, lams: Sequence[complex]) -> List[float]:
+    """:func:`_residual` at each of ``lams``, once per conjugate pair."""
+    return _per_pair(_residual, pencil, lams)
 
 
 def pencil_residual(p: DihedronPencil, lam: complex, n: int) -> float:
@@ -453,10 +497,13 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     unknowns only where its lam^2 term acts, and solved by shift-invert from
     a shift near the window midpoint (:func:`_raw_eigenvalues`).  Reported
     eigenvalues must reproduce under n -> 2n within ``_STAB_TOL`` and have
-    normalized residual at 2n below ``_RES_TOL``: the smallest singular value
-    of the two blocks over their largest.  A real candidate is scored in real
-    arithmetic, and a conjugate pair shares one SVD per block; residuals below
-    about 1e-15 are rounding noise whose digits may differ between versions.
+    normalized residual at 2n at most ``_RES_TOL``: the smallest singular
+    value of the two blocks over their largest.  That test is settled by an
+    upper bound from one LU solve per block, with the SVDs of
+    :func:`_residual` as the fallback when the bound does not settle it
+    (:func:`_residual_passes`), so the decisions are those of the SVDs.  A
+    real candidate is tested in real arithmetic, and a conjugate pair is
+    tested once.
     """
     re_lo, re_hi = window
     if not re_lo < re_hi or not np.isfinite(re_lo) or not np.isfinite(re_hi):
@@ -467,12 +514,11 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     sel = fine[(fine.real >= re_lo - 1e-12) & (fine.real <= re_hi + 1e-12)]
     kept: List[complex] = []
     unresolved: List[complex] = []
-    for lam, res in zip(sel, _residuals(fine_pencil, sel)):
+    for lam, passes in zip(sel, _per_pair(_residual_passes, fine_pencil, sel)):
+        if not passes:
+            continue
         dist = np.abs(coarse - lam).min() if len(coarse) else np.inf
-        if dist <= _STAB_TOL and res <= _RES_TOL:
-            kept.append(complex(lam))
-        elif res <= _RES_TOL:
-            unresolved.append(complex(lam))
+        (kept if dist <= _STAB_TOL else unresolved).append(complex(lam))
     # cluster multiple copies of the same eigenvalue
     kept.sort(key=lambda z: (z.real, z.imag))
     values: List[complex] = []
@@ -624,7 +670,9 @@ def edge_exponent(quantity: str, d_plus: int, d_minus: int, theta: float,
     the first class bound of the table, else the collocation solver.  Bounds
     are deliberately not refined numerically: point checks and the interval
     scan must agree, and the scan's exact rational endpoints come from the
-    bounds and from the separable closed form on the pi/24 grid.
+    bounds and from the separable closed form on the pi/24 grid.  Every
+    route depends on the unordered pair only, so swapping the faces keeps
+    the value to the bit.
     """
     if quantity not in ("mu", "lambda1"):
         raise ValueError("quantity must be 'mu' or 'lambda1', got %r" % (quantity,))
@@ -641,4 +689,7 @@ def edge_exponent(quantity: str, d_plus: int, d_minus: int, theta: float,
     bound = class_bound(quantity, d_plus, d_minus, theta)
     if bound is not None:
         return bound
-    return mu_numeric(theta, d_plus, d_minus, n=n, quantity=quantity)
+    # the mirrored wedge has the same spectrum, but its collocation differs
+    # in the last bits: the sorted pair makes the value independent of which
+    # face is k_plus
+    return mu_numeric(theta, *pair, n=n, quantity=quantity)

@@ -86,7 +86,7 @@ class ProblemSpec:
 
     @functools.cached_property
     def _exponents(self) -> Dict[tuple, Tuple[Optional[MuValue], str]]:
-        """What :func:`_edge_exponent` returned, by (quantity, d_plus, d_minus,
+        """What :func:`_edge_exponent` returned, by (quantity, sorted pair,
         theta, numeric_n): the edges of one wedge share one computation."""
         return {}
 
@@ -247,10 +247,11 @@ def _edge_exponent(spec: ProblemSpec, edge: Edge, rule: _Rule,
                    numeric_n: int) -> Tuple[Optional[MuValue], str]:
     """The rule's exponent at one edge, or None and the reason when no
     window certifies it; computed once per spec for each wedge.  The key
-    keeps the pair's order and the exact opening, so an edge reads the value
-    it would compute itself."""
+    holds the sorted pair, on which :func:`edge_exponent` depends alone,
+    and the exact opening, so an edge reads the value it would compute
+    itself."""
     quantity = "lambda1" if rule.kind == "existence" else "mu"
-    d_plus, d_minus = spec.bc.pair(edge)
+    d_plus, d_minus = sorted(spec.bc.pair(edge))
     key = (quantity, d_plus, d_minus, edge.theta, numeric_n)
     memo = spec._exponents
     if key not in memo:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from polystokes import fixtures as fx
 from polystokes import edge_pencil as ep
@@ -180,6 +181,102 @@ def test_antiplane_block_is_the_closed_form(theta):
 def test_minimum_collocation_size():
     with pytest.raises(ValueError):
         assemble_pencil(DihedronPencil(math.pi / 2, 0, 0), 1.0, 4)
+
+
+def _row_by_row_blocks(p, n):
+    """Reference assembly: every row built by its own ``derivative`` calls, one
+    node at a time, as the assembly did before its interior rows were built
+    as arrays."""
+    D1, x = ep._cheb(n)
+    half = p.theta / 2.0
+    phi = half * x
+    D = D1 / half
+    D2 = D @ D
+    m = n + 1
+    size = 4 * m
+    A, B, C = np.zeros((size, size)), np.zeros((size, size)), np.zeros((size, size))
+    U = (slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m))
+    P = slice(3 * m, 4 * m)
+    cos, sin = np.cos(phi), np.sin(phi)
+    nu = p.nu
+    axes = np.eye(3)
+
+    def derivative(r, k, w, cols, coef=1.0, degree=0):
+        w_r = w[0] * cos[k] + w[1] * sin[k]
+        w_phi = w[1] * cos[k] - w[0] * sin[k]
+        A[r, cols] += coef * w_phi * D[k]
+        A[r, cols.start + k] += coef * degree * w_r
+        B[r, cols.start + k] += coef * w_r
+
+    r = 0
+    antiplane = []
+    for i in range(3):
+        if i == 2:
+            antiplane.extend(range(r, r + n - 1))
+        for k in range(1, n):
+            A[r, U[i]] -= nu * D2[k, :]
+            C[r, U[i].start + k] -= nu
+            derivative(r, k, axes[i], P, degree=-1)
+            r += 1
+    for k in range(m):
+        for j in range(3):
+            derivative(r, k, axes[j], U[j])
+        r += 1
+    for e, d, sgn in ((0, p.d_plus, 1.0), (n, p.d_minus, -1.0)):
+        normal = np.array([-sgn * sin[e], sgn * cos[e], 0.0])
+        frame = {"n": normal, "r": np.array([cos[e], sin[e], 0.0]), "z": axes[2]}
+        for key, v in frame.items():
+            if key == "z":
+                antiplane.append(r)
+            if key in ep._VELOCITY_TRACES[d]:
+                for j in range(3):
+                    A[r, U[j].start + e] = v[j]
+            else:
+                for j in range(3):
+                    derivative(r, e, v, U[j], nu * normal[j])
+                    derivative(r, e, normal, U[j], nu * v[j])
+                A[r, P.start + e] -= v @ normal
+            r += 1
+    scale = np.abs(A).max(axis=1) + np.abs(B).max(axis=1) + np.abs(C).max(axis=1)
+    scale[scale == 0] = 1.0
+    A /= scale[:, None]
+    B /= scale[:, None]
+    C /= scale[:, None]
+    z_cols = np.arange(U[2].start, U[2].stop)
+    split = ((np.delete(np.arange(size), antiplane), np.delete(np.arange(size), z_cols)),
+             (np.array(antiplane), z_cols))
+    blocks = tuple(tuple(X[np.ix_(rows, cols)] for X in (A, B, C)) for rows, cols in split)
+    return ep._Collocation((A, B, C), split, blocks)
+
+
+def _assert_same_assembly(p, n):
+    # to the bit, zero signs included: tobytes() tells -0.0 from 0.0
+    def arrays(c):
+        return [*c.full, *(X for part in (*c.split, *c.blocks) for X in part)]
+
+    got, want = arrays(ep._blocks(p, n)), arrays(_row_by_row_blocks(p, n))
+    assert len(got) == len(want) == 13
+    for i, (X, Y) in enumerate(zip(got, want)):
+        assert (X.dtype, X.shape, X.tobytes()) == (Y.dtype, Y.shape, Y.tobytes()), (p, n, i)
+
+
+_ASSEMBLY_OPENINGS = (0.5 * math.pi, math.pi, 1.5 * math.pi, 1e-3, 2 * math.pi - 1e-9,
+                      random.Random(2000).uniform(0.1, 1.9) * math.pi)
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64))
+@pytest.mark.parametrize("theta", _ASSEMBLY_OPENINGS)
+def test_assembly_is_the_row_by_row_reference(theta, n):
+    for pair in ((a, b) for a in range(4) for b in range(4)):
+        _assert_same_assembly(DihedronPencil(theta, *pair), n)
+
+
+@given(st.integers(0, 3), st.integers(0, 3),
+       st.floats(1e-3, 2 * math.pi, exclude_max=True),
+       st.sampled_from((8, 9, 16, 31, 32, 64)), st.sampled_from((1.0, 0.3, 7.0)))
+@settings(deadline=None)
+def test_assembly_property(d_plus, d_minus, theta, n, nu):
+    _assert_same_assembly(DihedronPencil(theta, d_plus, d_minus, nu), n)
 
 
 # -- spectra ------------------------------------------------------------------
@@ -651,6 +748,22 @@ def _complex_residuals(pencil, lams):
     return out
 
 
+def _svd_decision(pencil, lam):
+    """The residual test decided by the SVDs of every candidate, as before the
+    LU bound settled it."""
+    return ep._residual(pencil, lam) <= ep._RES_TOL
+
+
+def _complex_decision(pencil, lam):
+    return _complex_residuals(pencil, [lam])[0] <= ep._RES_TOL
+
+
+def _same_spectrum(a, b):
+    assert a.eigenvalues == b.eigenvalues
+    assert a.multiplicities == b.multiplicities
+    assert a.unresolved == b.unresolved
+
+
 @pytest.mark.parametrize("theta", [f * math.pi for f in (0.1, 0.35, 0.5, 1.0, 1.55, 1.9)])
 @pytest.mark.parametrize("pair", [(a, b) for a in range(4) for b in range(a, 4)])
 def test_real_residuals_keep_the_decisions(pair, theta, monkeypatch):
@@ -673,14 +786,56 @@ def test_real_residuals_keep_the_decisions(pair, theta, monkeypatch):
     sel = fine[(fine.real >= window[0] - 1e-12) & (fine.real <= window[1] + 1e-12)]
     upper = {complex(z) for z in sel if z.imag > 0}
     assert {complex(z).conjugate() for z in sel if z.imag < 0} == upper
-    # one SVD per block (plane and antiplane), per real candidate and per
-    # conjugate pair
-    assert svd_inputs.count(np.float64) == 2 * len({z.real for z in sel if z.imag == 0})
-    assert svd_inputs.count(np.complex128) == 2 * len(upper)
-    assert len(svd_inputs) == 2 * len({(z.real, abs(z.imag)) for z in sel})
+    # no SVD at 2n for a candidate the bound settles: one per block (plane
+    # and antiplane) for each other one, once per conjugate pair, in real
+    # arithmetic for a real candidate
+    fine_pencil = ep._blocks(p, 32)
+    bounds = {ep._upper(z): ep._residual_bound(fine_pencil, z) for z in sel}
+    left_open = [lam for lam, bound in bounds.items() if bound > ep._RES_TOL / 2]
+    assert len(svd_inputs) == 2 * len(left_open)
+    assert svd_inputs.count(np.float64) == 2 * sum(isinstance(lam, float) for lam in left_open)
+    for lam, bound in bounds.items():
+        assert ep._residual(fine_pencil, lam) <= bound + 1e-13, (lam, bound)
 
-    monkeypatch.setattr(ep, "_residuals", _complex_residuals)
-    ref = solve_spectrum(p, window, n=16)
-    assert spec.eigenvalues == ref.eigenvalues
-    assert spec.multiplicities == ref.multiplicities
-    assert spec.unresolved == ref.unresolved
+    monkeypatch.setattr(ep, "_residual_passes", _svd_decision)
+    _same_spectrum(spec, solve_spectrum(p, window, n=16))
+    monkeypatch.setattr(ep, "_residual_passes", _complex_decision)
+    _same_spectrum(spec, solve_spectrum(p, window, n=16))
+
+
+@pytest.mark.parametrize("pair, theta, hi, n", _equivalence_cases())
+def test_residual_bound_matches_the_svd_decision(pair, theta, hi, n, monkeypatch):
+    p = DihedronPencil(theta, *pair)
+    spec = solve_spectrum(p, (0.0, hi), n=n)
+    monkeypatch.setattr(ep, "_residual_passes", _svd_decision)
+    _same_spectrum(spec, solve_spectrum(p, (0.0, hi), n=n))
+
+
+def test_residual_bound_falls_back_on_the_svds(monkeypatch):
+    pencil = ep._blocks(DihedronPencil(1.3 * math.pi, 1, 3), 32)
+    calls = []
+    real_svdvals = ep.svdvals
+
+    def counting_svdvals(a, *args, **kwargs):
+        calls.append(1)
+        return real_svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(ep, "svdvals", counting_svdvals)
+    # off the spectrum the bound settles nothing, and the SVDs refuse
+    for lam in (0.37, 0.731 + 0.2j, 2.1 - 0.4j):
+        assert ep._residual_bound(pencil, lam) > ep._RES_TOL / 2
+        calls.clear()
+        assert ep._residual_passes(pencil, lam) is False
+        assert len(calls) == 2  # one SVD per block
+        assert (ep._residual(pencil, lam) <= ep._RES_TOL) is False
+    # an eigenvalue moved until its residual sits between the bound's cut
+    # and the tolerance: the bound cannot settle it, the SVDs accept it
+    spec = solve_spectrum(DihedronPencil(1.3 * math.pi, 1, 3), (0.0, 2.4), n=16)
+    lam0 = next(ev for ev in spec.eigenvalues if ev.real > 0.1 and ev.imag == 0)
+    slope = ep._residual(pencil, lam0.real + 1e-6) / 1e-6
+    lam = lam0.real + 0.75 * ep._RES_TOL / slope
+    assert ep._RES_TOL / 2 < ep._residual(pencil, lam) <= ep._RES_TOL
+    assert ep._residual_bound(pencil, lam) > ep._RES_TOL / 2
+    calls.clear()
+    assert ep._residual_passes(pencil, lam) is True
+    assert len(calls) == 2
