@@ -20,7 +20,7 @@ from . import fixtures
 # pencil_residual is imported only as a lookup site that perfbench/tracer.py wraps
 from .edge_pencil import (DihedronPencil, MU_THRESHOLD_TWO_THIRDS, WindowError,
                           edge_exponent, mu_numeric, mu_real_root, pencil_residual,
-                          pencil_residuals, solve_spectrum)
+                          pencil_residuals, shared_collocation, solve_spectrum)
 from .geometry import DomainFileError, MeshError, load_polyhedron
 from .regularity import (TARGETS, DataFlags, Interval, ProblemSpec, RegularityQuery,
                          check, decision_table, max_s)
@@ -214,15 +214,16 @@ def _cmd_pencil(args) -> int:
     except (ValueError, TypeError) as exc:
         print("argument error: %s" % exc, file=sys.stderr)
         return 1
-    try:
-        spec = solve_spectrum(pencil, (lo, hi), n=args.n)
-    except WindowError as exc:
-        print("argument error: --window %r: %s" % (args.window, exc), file=sys.stderr)
-        return 1
-    except ValueError as exc:  # the opening is too small to collocate
-        print("argument error: --theta %r: %s" % (args.theta, exc), file=sys.stderr)
-        return 1
-    residuals = pencil_residuals(pencil, spec.eigenvalues, args.n)
+    with shared_collocation():  # the residuals at n reuse the solve's collocation
+        try:
+            spec = solve_spectrum(pencil, (lo, hi), n=args.n)
+        except WindowError as exc:
+            print("argument error: --window %r: %s" % (args.window, exc), file=sys.stderr)
+            return 1
+        except ValueError as exc:  # the opening is too small to collocate
+            print("argument error: --theta %r: %s" % (args.theta, exc), file=sys.stderr)
+            return 1
+        residuals = pencil_residuals(pencil, spec.eigenvalues, args.n)
     rows = [{"re": ev.real, "im": ev.imag, "multiplicity": m, "residual": res}
             for ev, m, res in zip(spec.eigenvalues, spec.multiplicities, residuals)]
     nu_note = "spectra are viscosity-independent (pressure rescaling); computed with nu=1"

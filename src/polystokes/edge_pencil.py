@@ -27,8 +27,13 @@ Two routes to the eigenvalues are provided and cross-checked:
 The pencil splits exactly into the plane Stokes problem for (u_x, u_y, p)
 and the antiplane Laplace problem for u_z (Dauge, SIAM J. Math. Anal. 20,
 1989): the z-momentum rows and each side's e_z boundary row act on u_z
-only, and no other row acts on u_z.  The solver works on the two diagonal
-blocks separately.
+only, and no other row acts on u_z.  A block whose two faces carry the same
+rows is symmetric under the mirror phi -> -phi, and its spectrum splits
+again into mirror-even and mirror-odd modes (the sin(l*t) +- l*sin(t)
+factors of the transcendental equation; Kozlov, Maz'ya & Rossmann, AMS
+2001): the plane block when d+ = d-, the antiplane block when both faces fix
+u_z or neither does.  The solver works on the diagonal blocks and halves
+separately.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -56,6 +63,7 @@ __all__ = [
     "separable",
     "assemble_pencil",
     "solve_spectrum",
+    "shared_collocation",
     "mu_of_edge_point",
     "class_bound",
     "edge_exponent",
@@ -109,9 +117,12 @@ class Spectrum:
     carries a two-dimensional kernel).  ``unresolved`` lists window candidates
     that passed the residual test at the finer discretization but failed to
     reproduce under refinement; they are reported rather than silently
-    dropped.  Every listed value passed that residual test, which decides
-    "at most ``_RES_TOL``" without computing the residual where a bound
-    settles it; the residuals themselves come from :func:`pencil_residuals`.
+    dropped.  Both are clustered by the same rule (:func:`_clusters`), and
+    each cluster is listed once, at its lowest value; copies of one value may
+    come from different blocks.  Every listed value passed that residual
+    test, which decides "at most ``_RES_TOL``" without computing the residual
+    where a bound settles it; the residuals themselves come from
+    :func:`pencil_residuals`.
     """
 
     eigenvalues: Tuple[complex, ...]
@@ -249,12 +260,50 @@ _Coefficients = Tuple[np.ndarray, np.ndarray, np.ndarray]
 class _Collocation(NamedTuple):
     """The row-scaled coefficients (A, B, C) of T(lam) = A + lam B + lam^2 C
     (``full``), the (rows, columns) of its plane block in (u_x, u_y, p) and of
-    its antiplane block in u_z (``split``), and the coefficients of each of
-    those diagonal blocks (``blocks``).  No entry outside them is nonzero."""
+    its antiplane block in u_z (``split``), and the coefficients of the
+    diagonal blocks the solver works on (``blocks``).  No entry outside the
+    plane and antiplane blocks is nonzero.  A block whose two faces carry the
+    same rows is mirror symmetric and stands in ``blocks`` as its mirror-even
+    and mirror-odd halves (:func:`_mirror_halves`); the others stand as they
+    are.  The singular values and eigenvalues of ``blocks`` are those of T."""
 
     full: _Coefficients
     split: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     blocks: Tuple[_Coefficients, ...]
+
+
+def _mirror_basis(partner: np.ndarray, sign: np.ndarray):
+    """The orthonormal basis of the vectors a signed mirror e_i -> sign_i
+    e_partner(i) keeps, as (i, partner(i), a, b) for the vectors
+    a e_i + b e_partner(i): (e_i + sign_i e_j)/sqrt(2) for each pair i < j,
+    and e_i for each fixed point with sign_i = +1."""
+    k = np.arange(len(partner))
+    i = np.flatnonzero((k < partner) | ((k == partner) & (sign > 0)))
+    paired = partner[i] != i
+    a = np.where(paired, math.sqrt(0.5), 1.0)
+    return i, partner[i], a, np.where(paired, sign[i] * a, 0.0)
+
+
+def _mirror_halves(coefficients: _Coefficients, rows, cols) -> Tuple[_Coefficients, ...]:
+    """The mirror-even and mirror-odd halves Q_r^T X Q_c of a block that the
+    signed mirrors ``rows`` and ``cols``, each (partner, sign) in the block's
+    own indices, map to itself, with Q the bases of :func:`_mirror_basis`.
+
+    The mirror holds to rounding, not to the bit (cos(pi k/n) is not
+    -cos(pi (n-k)/n) in floating point), so the coupling of the halves is
+    rounding noise that is dropped: being orthonormal, the combinations keep
+    the singular values and eigenvalues of the block to rounding.
+    """
+    halves = []
+    for parity in (1.0, -1.0):
+        ri, rj, ra, rb = _mirror_basis(rows[0], parity * rows[1])
+        ci, cj, ca, cb = _mirror_basis(cols[0], parity * cols[1])
+        half = []
+        for X in coefficients:
+            Y = ra[:, None] * X[ri] + rb[:, None] * X[rj]
+            half.append(Y[:, ci] * ca + Y[:, cj] * cb)
+        halves.append(tuple(half))
+    return tuple(halves)
 
 
 def _blocks(p: DihedronPencil, n: int) -> _Collocation:
@@ -331,8 +380,60 @@ def _blocks(p: DihedronPencil, n: int) -> _Collocation:
     z_cols = np.arange(U[2].start, U[2].stop)
     split = ((np.delete(np.arange(size), antiplane), np.delete(np.arange(size), z_cols)),
              (np.array(antiplane), z_cols))
-    blocks = tuple(tuple(X[np.ix_(rows, cols)] for X in (A, B, C)) for rows, cols in split)
-    return _Collocation((A, B, C), split, blocks)
+    # the mirror phi -> -phi as (partner, sign) of every row and column: node
+    # k goes to node n - k, u_y and the y-momentum rows change sign, and each
+    # plus-side boundary row goes to the minus-side row of its frame vector
+    node = n - nodes
+    row_mirror = (np.concatenate([i * (n - 1) + node[1:n] - 1 for i in range(3)]
+                                 + [3 * (n - 1) + node, 3 * (n - 1) + m + (np.arange(6) + 3) % 6]),
+                  np.concatenate([np.repeat([1.0, -1.0, 1.0], n - 1), np.ones(m + 6)]))
+    col_mirror = (np.concatenate([j * m + node for j in range(4)]),
+                  np.repeat([1.0, -1.0, 1.0, 1.0], m))
+
+    def local(mirror, index):  # the mirror in the block's own indices
+        position = np.empty(size, dtype=int)
+        position[index] = np.arange(len(index))
+        return position[mirror[0][index]], mirror[1][index]
+
+    blocks = []
+    # a block is mirror symmetric when both faces put the same frame vectors
+    # of that block into velocity traces: the plane one for d+ = d-, the
+    # antiplane one when both faces or neither fix u_z
+    for (rows, cols), keys in zip(split, ({"n", "r"}, {"z"})):
+        block = tuple(X[np.ix_(rows, cols)] for X in (A, B, C))
+        if keys & set(_VELOCITY_TRACES[p.d_plus]) == keys & set(_VELOCITY_TRACES[p.d_minus]):
+            blocks.extend(_mirror_halves(block, local(row_mirror, rows), local(col_mirror, cols)))
+        else:
+            blocks.append(block)
+    return _Collocation((A, B, C), split, tuple(blocks))
+
+
+# the collocations of the open shared_collocation block, by (wedge, size)
+_SHARED: ContextVar[Optional[dict]] = ContextVar("shared_collocation", default=None)
+
+
+@contextmanager
+def shared_collocation():
+    """Inside the block, each wedge is collocated once per size: the
+    residuals the ``pencil`` command prints at n reuse the collocation its
+    spectrum's solve built.  The collocations are dropped when the block
+    ends, so none outlives it."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _collocation(p: DihedronPencil, n: int) -> _Collocation:
+    """:func:`_blocks`, taken from the open :func:`shared_collocation` block
+    when there is one."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _blocks(p, n)
+    if (p, n) not in shared:
+        shared[p, n] = _blocks(p, n)
+    return shared[p, n]
 
 
 def _evaluate(coefficients: _Coefficients, lam: complex) -> np.ndarray:
@@ -355,8 +456,9 @@ def _upper(lam: complex):
 
 def _residual(pencil: _Collocation, lam: complex) -> float:
     """Normalized smallest singular value of T(lam): the singular values of
-    T(lam) are those of its two diagonal blocks, one SVD each, taken at the
-    member of lam's conjugate pair with Im >= 0 (:func:`_upper`)."""
+    T(lam) are those of its diagonal blocks (``_Collocation.blocks``), one
+    SVD each, taken at the member of lam's conjugate pair with Im >= 0
+    (:func:`_upper`)."""
     sv = [svdvals(_evaluate(block, _upper(lam))) for block in pencil.blocks]
     return float(min(s[-1] for s in sv) / max(s[0] for s in sv))
 
@@ -366,7 +468,7 @@ def _residual_bound(pencil: _Collocation, lam: complex) -> float:
     block, at the member of lam's conjugate pair with Im >= 0.
 
     Any nonzero x bounds the smallest singular value of a block from above by
-    ||T_b x|| / ||x||, and the largest |t_ij| of both blocks bounds their
+    ||T_b x|| / ||x||, and the largest |t_ij| of the blocks bounds their
     largest singular value from below, so the ratio of the two bounds the
     residual from above (Tisseur, Linear Algebra Appl. 309, 2000).  Solving
     T_b x = e with the ramp e_k = 1 + k/size gives an x near the null vector
@@ -413,17 +515,17 @@ def _residuals(pencil: _Collocation, lams: Sequence[complex]) -> List[float]:
 def pencil_residual(p: DihedronPencil, lam: complex, n: int) -> float:
     """Normalized smallest singular value of the discretized pencil.
 
-    The singular values are those of its plane and antiplane blocks, one SVD
-    each.  A real ``lam`` is scored in real arithmetic, and ``lam`` and its
-    conjugate share those SVDs.  Values below about 1e-15 are rounding noise:
-    their digits may differ between versions.
+    The singular values are those of its plane and antiplane blocks, or of
+    their mirror halves, one SVD each.  A real ``lam`` is scored in real
+    arithmetic, and ``lam`` and its conjugate share those SVDs.  Values below
+    about 1e-15 are rounding noise: their digits may differ between versions.
     """
-    return _residual(_blocks(p, n), lam)
+    return _residual(_collocation(p, n), lam)
 
 
 def pencil_residuals(p: DihedronPencil, lams: Sequence[complex], n: int) -> List[float]:
     """:func:`pencil_residual` at each of ``lams``, from one assembly."""
-    return _residuals(_blocks(p, n), lams)
+    return _residuals(_collocation(p, n), lams)
 
 
 _SHIFT_OFFSET = math.sqrt(2.0) / 100.0  # the shift sits this far above the window midpoint
@@ -460,10 +562,15 @@ def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> n
     M[size + np.arange(k), cols] = 1.0
     sigma = _shift(window)
     for _ in range(_SHIFT_MOVES + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = L - sigma * M
+        if not np.isfinite(shifted).all():
+            raise WindowError("the shift %r overflows the shifted pencil: the strip is too far out"
+                              % (sigma,))
         with warnings.catch_warnings():
             warnings.simplefilter("error", LinAlgWarning)
             try:
-                lu = lu_factor(L - sigma * M)
+                lu = lu_factor(shifted)
             except LinAlgWarning:  # a zero pivot: sigma is an eigenvalue
                 lu = None
         if lu is not None:
@@ -480,9 +587,11 @@ def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> n
 def _raw_eigenvalues(pencil: _Collocation, window: Tuple[float, float]) -> np.ndarray:
     """Finite eigenvalues of the collocated pencil: those of the plane Stokes
     block and those of the antiplane Laplace block, into which the pencil
-    splits exactly (Dauge 1989), each found by its own shift-invert solve
-    (:func:`_shift_invert`) with its own shift moves.  At n = 64 the two
-    linearizations have sizes 321 and 128; one of the whole pencil would
+    splits exactly (Dauge 1989), or of their mirror halves where a block is
+    mirror symmetric, each found by its own shift-invert solve
+    (:func:`_shift_invert`) with its own shift moves.  At n = 64 the plane
+    block's linearization has size 321, or 161 and 160 for its halves, and
+    the antiplane block's 128, or 65 and 63; one of the whole pencil would
     have size 449.
     """
     return np.concatenate([_shift_invert(block, window) for block in pencil.blocks])
@@ -493,12 +602,14 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     """Eigenvalues of the pencil in a strip re_lo <= Re <= re_hi.
 
     The pencil splits into the plane Stokes block and the antiplane Laplace
-    block (Dauge 1989).  Each is linearized compactly, with companion
-    unknowns only where its lam^2 term acts, and solved by shift-invert from
-    a shift near the window midpoint (:func:`_raw_eigenvalues`).  Reported
+    block (Dauge 1989), and a mirror-symmetric block into its even and odd
+    halves (:class:`_Collocation`).  Each is linearized compactly, with
+    companion unknowns only where its lam^2 term acts, and solved by
+    shift-invert from a shift near the window midpoint
+    (:func:`_raw_eigenvalues`).  Reported
     eigenvalues must reproduce under n -> 2n within ``_STAB_TOL`` and have
     normalized residual at 2n at most ``_RES_TOL``: the smallest singular
-    value of the two blocks over their largest.  That test is settled by an
+    value of the blocks over their largest.  That test is settled by an
     upper bound from one LU solve per block, with the SVDs of
     :func:`_residual` as the fallback when the bound does not settle it
     (:func:`_residual_passes`), so the decisions are those of the SVDs.  A
@@ -508,8 +619,8 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     re_lo, re_hi = window
     if not re_lo < re_hi or not np.isfinite(re_lo) or not np.isfinite(re_hi):
         raise ValueError("window must be a bounded strip")
-    coarse = _raw_eigenvalues(_blocks(p, n), window)
-    fine_pencil = _blocks(p, 2 * n)
+    coarse = _raw_eigenvalues(_collocation(p, n), window)
+    fine_pencil = _collocation(p, 2 * n)
     fine = _raw_eigenvalues(fine_pencil, window)
     sel = fine[(fine.real >= re_lo - 1e-12) & (fine.real <= re_hi + 1e-12)]
     kept: List[complex] = []
@@ -519,18 +630,23 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
             continue
         dist = np.abs(coarse - lam).min() if len(coarse) else np.inf
         (kept if dist <= _STAB_TOL else unresolved).append(complex(lam))
-    # cluster multiple copies of the same eigenvalue
-    kept.sort(key=lambda z: (z.real, z.imag))
-    values: List[complex] = []
+    values, counts = _clusters(kept)
+    return Spectrum(values, counts, (re_lo, re_hi), n, _clusters(unresolved)[0])
+
+
+def _clusters(values: Sequence[complex]) -> Tuple[Tuple[complex, ...], Tuple[int, ...]]:
+    """Copies of the same eigenvalue taken together: in (Re, Im) order, each
+    value within 10 ``_STAB_TOL`` of the lowest value of the cluster before it
+    joins that cluster.  Returns each cluster's lowest value and its size."""
+    lowest: List[complex] = []
     counts: List[int] = []
-    for lam in kept:
-        if values and abs(lam - values[-1]) <= 10 * _STAB_TOL:
+    for lam in sorted(values, key=lambda z: (z.real, z.imag)):
+        if lowest and abs(lam - lowest[-1]) <= 10 * _STAB_TOL:
             counts[-1] += 1
         else:
-            values.append(lam)
+            lowest.append(lam)
             counts.append(1)
-    return Spectrum(tuple(values), tuple(counts), (re_lo, re_hi), n,
-                    tuple(sorted(unresolved, key=lambda z: (z.real, z.imag))))
+    return tuple(lowest), tuple(counts)
 
 
 # -- exponent selection --------------------------------------------------------

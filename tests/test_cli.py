@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -68,6 +69,27 @@ def test_pencil_window_error_is_an_argument_error(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("argument error: --window '0,1e200': every shift tried")
+
+
+def test_pencil_overflowing_shift_is_a_window_error(capsys):
+    # a finite window whose midpoint overflows: the shifted pencil is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pencil", "--theta", "1", "--bc", "0,0", "--window=1e308,1.7e308"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("argument error: --window '1e308,1.7e308': the shift inf overflows")
+
+
+def test_pencil_lists_each_unresolved_value_once(capsys):
+    # at this opening and size copies of 0.5, 1 and 1.5 fail to reproduce
+    # under refinement, several copies of each
+    assert main(["pencil", "--theta", "6.28318", "--bc", "3,3", "--n", "8",
+                 "--format", "json"]) == 0
+    unresolved = [complex(*z) for z in json.loads(capsys.readouterr().out)["unresolved"]]
+    assert any(abs(z - 1.5) < 1e-6 for z in unresolved)
+    assert unresolved == sorted(unresolved, key=lambda z: (z.real, z.imag))
+    assert all(abs(a - b) > 10 * edge_pencil._STAB_TOL for a, b in zip(unresolved, unresolved[1:]))
 
 
 def test_pencil_tiny_opening_is_an_argument_error(capsys):
@@ -352,6 +374,24 @@ def test_pencil_residuals_from_one_assembly(capsys):
     assert out["eigenvalues"]
     for row in out["eigenvalues"]:
         assert row["residual"] == pencil_residual(p, complex(row["re"], row["im"]), 16)
+
+
+def test_pencil_collocates_each_size_once(monkeypatch, capsys):
+    # the residuals at n reuse the collocation of the solve, and no
+    # collocation is kept once the command returns
+    sizes = []
+    real = edge_pencil._blocks
+
+    def counting(p, n):
+        sizes.append(n)
+        return real(p, n)
+
+    monkeypatch.setattr(edge_pencil, "_blocks", counting)
+    for _ in range(2):
+        assert main(["pencil", "--theta", "1.3*pi", "--bc", "3,3", "--n", "16"]) == 0
+        assert "residual" in capsys.readouterr().out
+    assert sizes == [16, 32, 16, 32]
+    assert edge_pencil._SHARED.get() is None
 
 
 _LEAN_IMPORT = """

@@ -171,8 +171,10 @@ def test_antiplane_block_is_the_closed_form(theta):
         half = 0.5 if (pair[0] < 2) != (pair[1] < 2) else 0.0
         want = [(k + half) * math.pi / theta for k in range(4)]
         want = [v for v in want if ep._RE_MIN < v <= hi]
-        antiplane = ep._blocks(DihedronPencil(theta, *pair), 32).blocks[1]
-        lam = ep._shift_invert(antiplane, (0.0, hi))
+        # the plane block comes first, as its two mirror halves when the
+        # faces carry equal conditions; the antiplane block or its halves follow
+        antiplane = ep._blocks(DihedronPencil(theta, *pair), 32).blocks[1 + (pair[0] == pair[1]):]
+        lam = np.concatenate([ep._shift_invert(block, (0.0, hi)) for block in antiplane])
         got = np.sort_complex(lam[(lam.real > ep._RE_MIN) & (lam.real <= hi)])
         assert len(got) == len(want), (pair, got, want)
         assert np.max(np.abs(got - want)) <= ep._STAB_TOL, (pair, got, want)
@@ -249,12 +251,20 @@ def _row_by_row_blocks(p, n):
     return ep._Collocation((A, B, C), split, blocks)
 
 
-def _assert_same_assembly(p, n):
-    # to the bit, zero signs included: tobytes() tells -0.0 from 0.0
-    def arrays(c):
-        return [*c.full, *(X for part in (*c.split, *c.blocks) for X in part)]
+def _unsplit(c):
+    """The plane and antiplane blocks of a collocation, whole."""
+    return tuple(tuple(X[np.ix_(rows, cols)] for X in c.full) for rows, cols in c.split)
 
-    got, want = arrays(ep._blocks(p, n)), arrays(_row_by_row_blocks(p, n))
+
+def _assert_same_assembly(p, n):
+    # to the bit, zero signs included: tobytes() tells -0.0 from 0.0; the
+    # reference's blocks are the plane and antiplane blocks, unsplit
+    def arrays(c, blocks):
+        return [*c.full, *(X for part in (*c.split, *blocks) for X in part)]
+
+    got = ep._blocks(p, n)
+    want = _row_by_row_blocks(p, n)
+    got, want = arrays(got, _unsplit(got)), arrays(want, want.blocks)
     assert len(got) == len(want) == 13
     for i, (X, Y) in enumerate(zip(got, want)):
         assert (X.dtype, X.shape, X.tobytes()) == (Y.dtype, Y.shape, Y.tobytes()), (p, n, i)
@@ -277,6 +287,64 @@ def test_assembly_is_the_row_by_row_reference(theta, n):
 @settings(deadline=None)
 def test_assembly_property(d_plus, d_minus, theta, n, nu):
     _assert_same_assembly(DihedronPencil(theta, d_plus, d_minus, nu), n)
+
+
+# the condition pairs with a mirror-symmetric block: both faces fix u_z or
+# neither does (the antiplane block), and d+ = d- (the plane block too)
+_MIRRORED = [(a, b) for a in range(4) for b in range(4) if (a < 2) == (b < 2)]
+
+
+def _mirror(n):
+    """The mirror phi -> -phi of the collocation as (partner, sign) of its
+    rows and of its columns, from the layout of ``_row_by_row_blocks``: node k
+    goes to node n - k, u_y and the y-momentum rows change sign, and each
+    plus-side boundary row goes to the minus-side row of its frame vector."""
+    m = n + 1
+    rows, row_signs, cols, col_signs = [], [], [], []
+    for i, sign in enumerate((1.0, -1.0, 1.0)):
+        for k in range(1, n):
+            rows.append(i * (n - 1) + (n - k) - 1)
+            row_signs.append(sign)
+    rows += [3 * (n - 1) + (n - k) for k in range(m)]
+    rows += [3 * (n - 1) + m + (t + 3) % 6 for t in range(6)]
+    row_signs += [1.0] * (m + 6)
+    for j, sign in enumerate((1.0, -1.0, 1.0, 1.0)):
+        cols += [j * m + (n - k) for k in range(m)]
+        col_signs += [sign] * m
+    return (np.array(rows), np.array(row_signs)), (np.array(cols), np.array(col_signs))
+
+
+@given(st.sampled_from(_MIRRORED), st.floats(0.01 * math.pi, 1.99 * math.pi),
+       st.integers(8, 64), st.sampled_from((1.0, 0.3, 7.0)),
+       st.complex_numbers(max_magnitude=4.0))
+@settings(deadline=None)
+def test_mirror_halves_property(pair, theta, n, nu, lam):
+    p = DihedronPencil(theta, *pair, nu)
+    c = ep._blocks(p, n)
+    (rows, row_signs), (cols, col_signs) = _mirror(n)
+    symmetric = (pair[0] == pair[1], True)  # plane, antiplane
+    halves = iter(c.blocks)
+    for (block_rows, block_cols), whole, mirrored in zip(c.split, _unsplit(c), symmetric):
+        # the mirror maps the block's rows and columns to themselves and
+        # the coefficients to themselves, to rounding
+        if mirrored:
+            assert set(rows[block_rows]) == set(block_rows)
+            assert set(cols[block_cols]) == set(block_cols)
+            for X in c.full:
+                Y = X[np.ix_(rows[block_rows], cols[block_cols])]
+                Y = Y * row_signs[block_rows, None] * col_signs[None, block_cols]
+                Z = X[np.ix_(block_rows, block_cols)]
+                assert np.abs(Y - Z).max() <= 1e-12 * np.abs(Z).max(), (pair, theta, n)
+        # square halves whose sizes add up to the block, and whose singular
+        # values are the block's
+        parts = [next(halves) for _ in range(2 if mirrored else 1)]
+        assert all(X.shape == (len(part[0]),) * 2 for part in parts for X in part)
+        assert sum(len(part[0]) for part in parts) == len(block_rows) == len(block_cols)
+        sv = np.sort(np.concatenate([scipy.linalg.svdvals(ep._evaluate(part, lam))
+                                     for part in parts]))
+        want = np.sort(scipy.linalg.svdvals(ep._evaluate(whole, lam)))
+        assert np.abs(sv - want).max() <= 1e-12 * want[-1], (pair, theta, n, lam)
+    assert next(halves, None) is None
 
 
 # -- spectra ------------------------------------------------------------------
@@ -661,14 +729,22 @@ def test_shift_on_an_eigenvalue_moves(pair, theta, eig_calls):
         assert expected[1.0] == 2
     sigma = ep._shift((0.0, 2.4))
     if any(abs(v - sigma) < 1e-12 for v in expected):
-        # without a collision: one eigensolve per block and size, so 4
-        assert len(eig_calls) > 4
+        # without a collision: one eigensolve per block and size
+        assert len(eig_calls) > 2 * len(ep._blocks(DihedronPencil(theta, *pair), 32).blocks)
 
 
 def test_one_eigensolve_per_size(eig_calls):
     # one per block (plane and antiplane) and size (n and 2n)
     solve_spectrum(DihedronPencil(1.3 * math.pi, 1, 3), (0.0, 2.4), n=16)
     assert len(eig_calls) == 4
+
+
+@pytest.mark.parametrize("pair, blocks", [((2, 3), 3), ((3, 2), 3), ((0, 1), 3), ((3, 3), 4)])
+def test_one_eigensolve_per_mirror_half(pair, blocks, eig_calls):
+    # one per block and size, a mirror-symmetric block counting as its two
+    # halves: the antiplane block of (2,3) and (0,1), both blocks of (3,3)
+    solve_spectrum(DihedronPencil(1.3 * math.pi, *pair), (0.0, 2.4), n=16)
+    assert len(eig_calls) == 2 * blocks
 
 
 def _zero_pivots(count):
@@ -735,6 +811,37 @@ def test_shift_invert_matches_doubled_companion(pair, theta, hi, n, monkeypatch)
         assert abs(near[0] - ev) <= ep._STAB_TOL and near[1] == m, (ev, m, near)
 
 
+def _ordered_cases():
+    """``_equivalence_cases`` with the mixed pairs taken in both orders."""
+    return [pytest.param(pair, theta, hi, n, id="%d%d-%.6g-%.4g-%d" % (*pair, theta, hi, n))
+            for case, theta, hi, n in _equivalence_cases()
+            for pair in dict.fromkeys((case, case[::-1]))]
+
+
+@pytest.mark.parametrize("pair, theta, hi, n", _ordered_cases())
+def test_mirror_halves_keep_the_spectrum(pair, theta, hi, n, monkeypatch):
+    # the solver on the mirror halves against the solver on the unsplit plane
+    # and antiplane blocks of the row-by-row reference: apart from the
+    # defective zero eigenvalue, the same values to rounding, the same
+    # multiplicities and the same unresolved values
+    p = DihedronPencil(theta, *pair)
+    spec = solve_spectrum(p, (0.0, hi), n=n)
+    monkeypatch.setattr(ep, "_blocks", _row_by_row_blocks)
+    ref = solve_spectrum(p, (0.0, hi), n=n)
+
+    def nonzero(values):
+        return [z for z in values if abs(z) > ep._RE_MIN]
+
+    got, want = nonzero(spec.eigenvalues), nonzero(ref.eigenvalues)
+    assert len(got) == len(want)
+    assert max((abs(a - b) for a, b in zip(got, want)), default=0.0) <= 1e-9
+    assert [m for z, m in zip(spec.eigenvalues, spec.multiplicities) if abs(z) > ep._RE_MIN] \
+        == [m for z, m in zip(ref.eigenvalues, ref.multiplicities) if abs(z) > ep._RE_MIN]
+    got, want = nonzero(spec.unresolved), nonzero(ref.unresolved)
+    assert len(got) == len(want)
+    assert max((abs(a - b) for a, b in zip(got, want)), default=0.0) <= 1e-9
+
+
 # -- the residual stage --------------------------------------------------------------
 
 def _complex_residuals(pencil, lams):
@@ -787,13 +894,15 @@ def test_real_residuals_keep_the_decisions(pair, theta, monkeypatch):
     upper = {complex(z) for z in sel if z.imag > 0}
     assert {complex(z).conjugate() for z in sel if z.imag < 0} == upper
     # no SVD at 2n for a candidate the bound settles: one per block (plane
-    # and antiplane) for each other one, once per conjugate pair, in real
-    # arithmetic for a real candidate
+    # and antiplane, or their mirror halves) for each other one, once per
+    # conjugate pair, in real arithmetic for a real candidate
     fine_pencil = ep._blocks(p, 32)
+    blocks = len(fine_pencil.blocks)
     bounds = {ep._upper(z): ep._residual_bound(fine_pencil, z) for z in sel}
     left_open = [lam for lam, bound in bounds.items() if bound > ep._RES_TOL / 2]
-    assert len(svd_inputs) == 2 * len(left_open)
-    assert svd_inputs.count(np.float64) == 2 * sum(isinstance(lam, float) for lam in left_open)
+    assert len(svd_inputs) == blocks * len(left_open)
+    real = sum(isinstance(lam, float) for lam in left_open)
+    assert svd_inputs.count(np.float64) == blocks * real
     for lam, bound in bounds.items():
         assert ep._residual(fine_pencil, lam) <= bound + 1e-13, (lam, bound)
 
