@@ -34,6 +34,11 @@ factors of the transcendental equation; Kozlov, Maz'ya & Rossmann, AMS
 2001): the plane block when d+ = d-, the antiplane block when both faces fix
 u_z or neither does.  The solver works on the diagonal blocks and halves
 separately.
+
+Only the collocation solver loads scipy: ``eig``, ``svdvals``, ``lu_factor``
+and ``lu_solve`` import ``scipy.linalg`` on their first call.  The closed
+forms, the class bounds and the real-root bracketing need numpy alone, so an
+``analyze`` whose edges all take one of them never loads scipy.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eig, lu_factor, lu_solve, svdvals
 
 from .geometry import MU_THRESHOLD_TWO_THIRDS, special_opening
 
@@ -69,6 +73,33 @@ __all__ = [
     "edge_exponent",
     "MU_THRESHOLD_TWO_THIRDS",
 ]
+
+
+# the collocation solver's scipy.linalg routines, each importing it on its
+# first call: the import costs more than a whole closed-form analyze op
+
+def eig(*args, **kwargs):
+    """``scipy.linalg.eig``, imported on the first call."""
+    from scipy.linalg import eig as solve
+    return solve(*args, **kwargs)
+
+
+def svdvals(*args, **kwargs):
+    """``scipy.linalg.svdvals``, imported on the first call."""
+    from scipy.linalg import svdvals as solve
+    return solve(*args, **kwargs)
+
+
+def lu_factor(*args, **kwargs):
+    """``scipy.linalg.lu_factor``, imported on the first call."""
+    from scipy.linalg import lu_factor as solve
+    return solve(*args, **kwargs)
+
+
+def lu_solve(*args, **kwargs):
+    """``scipy.linalg.lu_solve``, imported on the first call."""
+    from scipy.linalg import lu_solve as solve
+    return solve(*args, **kwargs)
 
 
 _ROOT_XTOL = 1e-14  # bracketing tolerance of the real-root closed form
@@ -119,7 +150,10 @@ class Spectrum:
     reproduce under refinement; they are reported rather than silently
     dropped.  Both are clustered by the same rule (:func:`_clusters`), and
     each cluster is listed once, at its lowest value; copies of one value may
-    come from different blocks.  Every listed value passed that residual
+    come from different blocks.  A candidate within 10 ``_STAB_TOL`` of a
+    kept value is a copy of that eigenvalue that the coarse solve did not
+    reproduce: it is left out of ``unresolved``, and ``multiplicities`` count
+    the reproduced copies only.  Every listed value passed that residual
     test, which decides "at most ``_RES_TOL``" without computing the residual
     where a bound settles it; the residuals themselves come from
     :func:`pencil_residuals`.
@@ -272,22 +306,26 @@ class _Collocation(NamedTuple):
     blocks: Tuple[_Coefficients, ...]
 
 
-def _mirror_basis(partner: np.ndarray, sign: np.ndarray):
-    """The orthonormal basis of the vectors a signed mirror e_i -> sign_i
-    e_partner(i) keeps, as (i, partner(i), a, b) for the vectors
-    a e_i + b e_partner(i): (e_i + sign_i e_j)/sqrt(2) for each pair i < j,
-    and e_i for each fixed point with sign_i = +1."""
-    k = np.arange(len(partner))
-    i = np.flatnonzero((k < partner) | ((k == partner) & (sign > 0)))
-    paired = partner[i] != i
+def _mirror_basis(index: np.ndarray, partner: np.ndarray, sign: np.ndarray):
+    """The orthonormal basis of the vectors a signed mirror keeps, on the
+    ascending indices ``index`` that it maps among themselves, index[k] ->
+    sign[k] partner[k]: as (i, j, a, b) for the vectors a e_i + b e_j, that
+    is (e_i + sign e_j)/sqrt(2) for each pair i < j, and e_i for each fixed
+    point with sign +1."""
+    keep = (index < partner) | ((index == partner) & (sign > 0))
+    i, j = index[keep], partner[keep]
+    paired = j != i
     a = np.where(paired, math.sqrt(0.5), 1.0)
-    return i, partner[i], a, np.where(paired, sign[i] * a, 0.0)
+    return i, j, a, np.where(paired, sign[keep] * a, 0.0)
 
 
-def _mirror_halves(coefficients: _Coefficients, rows, cols) -> Tuple[_Coefficients, ...]:
-    """The mirror-even and mirror-odd halves Q_r^T X Q_c of a block that the
-    signed mirrors ``rows`` and ``cols``, each (partner, sign) in the block's
-    own indices, map to itself, with Q the bases of :func:`_mirror_basis`.
+def _mirror_halves(coefficients: _Coefficients, rows, cols, row_mirror, col_mirror
+                   ) -> Tuple[_Coefficients, ...]:
+    """The mirror-even and mirror-odd halves Q_r^T X Q_c of the block on
+    ``rows`` and ``cols`` of each X in ``coefficients``, which the signed
+    mirrors ``row_mirror`` and ``col_mirror``, each (partner, sign) of every
+    row or column, map to itself, with Q the bases of :func:`_mirror_basis`.
+    The halves are gathered from X itself: the block is never copied whole.
 
     The mirror holds to rounding, not to the bit (cos(pi k/n) is not
     -cos(pi (n-k)/n) in floating point), so the coupling of the halves is
@@ -296,10 +334,11 @@ def _mirror_halves(coefficients: _Coefficients, rows, cols) -> Tuple[_Coefficien
     """
     halves = []
     for parity in (1.0, -1.0):
-        ri, rj, ra, rb = _mirror_basis(rows[0], parity * rows[1])
-        ci, cj, ca, cb = _mirror_basis(cols[0], parity * cols[1])
+        ri, rj, ra, rb = _mirror_basis(rows, row_mirror[0][rows], parity * row_mirror[1][rows])
+        ci, cj, ca, cb = _mirror_basis(cols, col_mirror[0][cols], parity * col_mirror[1][cols])
         half = []
         for X in coefficients:
+            # whole rows of X first: a row gather is cheaper than a 2-D one
             Y = ra[:, None] * X[ri] + rb[:, None] * X[rj]
             half.append(Y[:, ci] * ca + Y[:, cj] * cb)
         halves.append(tuple(half))
@@ -390,21 +429,15 @@ def _blocks(p: DihedronPencil, n: int) -> _Collocation:
     col_mirror = (np.concatenate([j * m + node for j in range(4)]),
                   np.repeat([1.0, -1.0, 1.0, 1.0], m))
 
-    def local(mirror, index):  # the mirror in the block's own indices
-        position = np.empty(size, dtype=int)
-        position[index] = np.arange(len(index))
-        return position[mirror[0][index]], mirror[1][index]
-
     blocks = []
     # a block is mirror symmetric when both faces put the same frame vectors
     # of that block into velocity traces: the plane one for d+ = d-, the
     # antiplane one when both faces or neither fix u_z
     for (rows, cols), keys in zip(split, ({"n", "r"}, {"z"})):
-        block = tuple(X[np.ix_(rows, cols)] for X in (A, B, C))
         if keys & set(_VELOCITY_TRACES[p.d_plus]) == keys & set(_VELOCITY_TRACES[p.d_minus]):
-            blocks.extend(_mirror_halves(block, local(row_mirror, rows), local(col_mirror, cols)))
+            blocks.extend(_mirror_halves((A, B, C), rows, cols, row_mirror, col_mirror))
         else:
-            blocks.append(block)
+            blocks.append(tuple(X[np.ix_(rows, cols)] for X in (A, B, C)))
     return _Collocation((A, B, C), split, tuple(blocks))
 
 
@@ -560,6 +593,7 @@ def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> n
     M[:size, :size] = -B
     M[:size, size:] = -C[:, cols]
     M[size + np.arange(k), cols] = 1.0
+    from scipy.linalg import LinAlgWarning
     sigma = _shift(window)
     for _ in range(_SHIFT_MOVES + 1):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -631,6 +665,8 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
         dist = np.abs(coarse - lam).min() if len(coarse) else np.inf
         (kept if dist <= _STAB_TOL else unresolved).append(complex(lam))
     values, counts = _clusters(kept)
+    unresolved = [lam for lam in unresolved
+                  if not any(abs(lam - k) <= 10 * _STAB_TOL for k in kept)]
     return Spectrum(values, counts, (re_lo, re_hi), n, _clusters(unresolved)[0])
 
 

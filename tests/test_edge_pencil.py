@@ -344,7 +344,36 @@ def test_mirror_halves_property(pair, theta, n, nu, lam):
                                      for part in parts]))
         want = np.sort(scipy.linalg.svdvals(ep._evaluate(whole, lam)))
         assert np.abs(sv - want).max() <= 1e-12 * want[-1], (pair, theta, n, lam)
+        if mirrored:
+            assert _tobytes(parts) == _tobytes(_halves_of_the_whole_block(
+                whole, block_rows, block_cols, (rows, row_signs), (cols, col_signs)))
     assert next(halves, None) is None
+
+
+def _tobytes(parts):
+    return [(X.shape, X.tobytes()) for part in parts for X in part]
+
+
+def _halves_of_the_whole_block(whole, block_rows, block_cols, row_mirror, col_mirror):
+    """The mirror halves built as before they were gathered from the full
+    coefficients: from a copy of the whole block, in its own indices."""
+    def local(index, mirror):
+        position = np.empty(len(mirror[0]), dtype=int)
+        position[index] = np.arange(len(index))
+        return np.arange(len(index)), position[mirror[0][index]], mirror[1][index]
+
+    (r, r_partner, r_sign), (c, c_partner, c_sign) = (local(block_rows, row_mirror),
+                                                      local(block_cols, col_mirror))
+    halves = []
+    for parity in (1.0, -1.0):
+        ri, rj, ra, rb = ep._mirror_basis(r, r_partner, parity * r_sign)
+        ci, cj, ca, cb = ep._mirror_basis(c, c_partner, parity * c_sign)
+        half = []
+        for X in whole:
+            Y = ra[:, None] * X[ri] + rb[:, None] * X[rj]
+            half.append(Y[:, ci] * ca + Y[:, cj] * cb)
+        halves.append(half)
+    return halves
 
 
 # -- spectra ------------------------------------------------------------------
