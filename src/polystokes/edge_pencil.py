@@ -19,10 +19,12 @@ Two routes to the eigenvalues are provided and cross-checked:
   stress-on-both-sides pairs, with the real root selection rules (pi/theta up
   to pi, the smallest root of sin(m*t) + m*sin(t) = 0 above), and the
   separated spectrum of the pairs (1,1), (2,2) and (1,2);
-* a Chebyshev collocation of the ODE system, linearized compactly (a
-  companion unknown only for the interior velocity nodes, where the lam^2
-  term acts), solved by shift-invert from a shift near the window midpoint,
-  and filtered by refinement stability plus a normalized pencil residual.
+* a Chebyshev collocation of the ODE system, linearized at the size of its
+  finite spectrum (an unknown B_r z + lam C_r z for each row r with a lam^2
+  term, so that no lam term touches the pressure; lam^2 itself for a block
+  with no lam term), solved by shift-invert from a shift near the window
+  midpoint, and filtered by refinement stability plus a normalized pencil
+  residual.
 
 The pencil splits exactly into the plane Stokes problem for (u_x, u_y, p)
 and the antiplane Laplace problem for u_z (Dauge, SIAM J. Math. Anal. 20,
@@ -35,17 +37,15 @@ factors of the transcendental equation; Kozlov, Maz'ya & Rossmann, AMS
 u_z or neither does.  The solver works on the diagonal blocks and halves
 separately.
 
-Only the collocation solver loads scipy: ``eig``, ``svdvals``, ``lu_factor``
-and ``lu_solve`` import ``scipy.linalg`` on their first call.  The closed
-forms, the class bounds and the real-root bracketing need numpy alone, so an
-``analyze`` whose edges all take one of them never loads scipy.
+Everything here needs numpy alone: the collocation solver's LAPACK calls
+are numpy's ``eigvals``, ``svd`` and ``solve``, behind the module attributes
+``eig``, ``svdvals`` and ``solve``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -75,31 +75,22 @@ __all__ = [
 ]
 
 
-# the collocation solver's scipy.linalg routines, each importing it on its
-# first call: the import costs more than a whole closed-form analyze op
+# the collocation solver's LAPACK routines, all of them numpy's: module
+# attributes, so that a caller can wrap or replace them
 
-def eig(*args, **kwargs):
-    """``scipy.linalg.eig``, imported on the first call."""
-    from scipy.linalg import eig as solve
-    return solve(*args, **kwargs)
-
-
-def svdvals(*args, **kwargs):
-    """``scipy.linalg.svdvals``, imported on the first call."""
-    from scipy.linalg import svdvals as solve
-    return solve(*args, **kwargs)
+def eig(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the square matrix ``a``."""
+    return np.linalg.eigvals(a)
 
 
-def lu_factor(*args, **kwargs):
-    """``scipy.linalg.lu_factor``, imported on the first call."""
-    from scipy.linalg import lu_factor as solve
-    return solve(*args, **kwargs)
+def svdvals(a: np.ndarray) -> np.ndarray:
+    """Singular values of ``a``, largest first."""
+    return np.linalg.svd(a, compute_uv=False)
 
 
-def lu_solve(*args, **kwargs):
-    """``scipy.linalg.lu_solve``, imported on the first call."""
-    from scipy.linalg import lu_solve as solve
-    return solve(*args, **kwargs)
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` by LU; an exactly zero pivot raises ``np.linalg.LinAlgError``."""
+    return np.linalg.solve(a, b)
 
 
 _ROOT_XTOL = 1e-14  # bracketing tolerance of the real-root closed form
@@ -572,46 +563,72 @@ def _shift(window: Tuple[float, float]) -> float:
     return 0.5 * (window[0] + window[1]) + _SHIFT_OFFSET
 
 
-def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> np.ndarray:
-    """Finite eigenvalues of one diagonal block's compact linearization.
+def _linearization(coefficients: _Coefficients) -> Tuple[np.ndarray, np.ndarray, int]:
+    """A linearization L y = lam^degree M y of one diagonal block, with zero
+    columns in M for the unknowns no lam term touches.
 
-    Only the interior velocity unknowns, the columns where C is nonzero, get
-    a companion w = lam u: L z = lam M z with L = [[A, 0], [0, I]] and
-    M = [[-B, -C[:, cols]], [S, 0]], S selecting those columns.  The real
-    matrix (L - sigma M)^-1 M has the eigenvalues 1 / (lam - sigma), and the
-    infinite eigenvalues of the singular M become its zero eigenvalues.  A
-    shift that hits the spectrum (a zero pivot, or a computed eigenvalue
-    within ``_SHIFT_GAP``) is moved by ``_SHIFT_STEP`` of the window width.
+    Each row r with a lam^2 term gets an unknown v_r = B_r z + lam C_r z:
+    the row reads A_r z + lam v_r = 0, and v_r - B_r z - lam C_r z = 0
+    defines v_r; every other row keeps A_r z + lam B_r z = 0.  So
+    L = [[A, 0], [-B_R, I]] and M = [[-B_O, -E], [C_R, 0]], with R the
+    lam^2 rows, B_O the rows of B off R, and E putting v_r into row r.
+    Eliminating v gives T(lam) back.  The pressure enters the lam terms on
+    the momentum rows only, which now carry v instead: its columns of M are
+    zero.  A block with no lam term (B = 0, the antiplane one: e_z has no
+    e_r component) is linear in nu = lam^2, with L = A, M = -C, degree 2.
     """
     A, B, C = coefficients
-    cols = np.flatnonzero(C.any(axis=0))
-    size, k = A.shape[0], len(cols)
+    if not B.any():
+        return A, -C, 2
+    rows = np.flatnonzero(C.any(axis=1))
+    size, k = A.shape[0], len(rows)
     L = np.zeros((size + k, size + k))
     M = np.zeros_like(L)
     L[:size, :size] = A
+    L[size:, :size] = -B[rows]
     L[size:, size:] = np.eye(k)
     M[:size, :size] = -B
-    M[:size, size:] = -C[:, cols]
-    M[size + np.arange(k), cols] = 1.0
-    from scipy.linalg import LinAlgWarning
+    M[rows, :size] = 0.0
+    M[rows, size + np.arange(k)] = -1.0
+    M[size:, :size] = C[rows]
+    return L, M, 1
+
+
+def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> np.ndarray:
+    """Finite eigenvalues of one diagonal block, by shift-invert on its
+    :func:`_linearization`, at the size of its finite spectrum.
+
+    The real matrix K = (L - s M)^-1 M, s = sigma^degree, has the
+    eigenvalues 1 / (lam^degree - s); the infinite eigenvalues of the
+    singular M become its zero eigenvalues, and a zero column of M a zero
+    column of K.  So the nonzero eigenvalues of K are those of its rows and
+    columns where M has a nonzero column, and only those are solved for.  In
+    nu = lam^2 both roots +-sqrt(nu) are returned.  A shift that hits the
+    spectrum (a zero pivot, or a computed eigenvalue within ``_SHIFT_GAP``
+    of sigma) is moved by ``_SHIFT_STEP`` of the window width.
+    """
+    L, M, degree = _linearization(coefficients)
+    keep = np.flatnonzero(M.any(axis=0))
     sigma = _shift(window)
     for _ in range(_SHIFT_MOVES + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            shifted = L - sigma * M
+            shifted = L - sigma ** degree * M
         if not np.isfinite(shifted).all():
             raise WindowError("the shift %r overflows the shifted pencil: the strip is too far out"
                               % (sigma,))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            try:
-                lu = lu_factor(shifted)
-            except LinAlgWarning:  # a zero pivot: sigma is an eigenvalue
-                lu = None
-        if lu is not None:
-            mu = eig(lu_solve(lu, M), right=False)
+        try:
+            K = solve(shifted, M[:, keep])[keep]
+        except np.linalg.LinAlgError:  # a zero pivot: sigma is an eigenvalue
+            pass
+        else:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                lam = sigma + 1.0 / mu
-            lam = lam[np.isfinite(lam)]
+                nu = sigma ** degree + 1.0 / eig(K)
+            nu = nu[np.isfinite(nu)]
+            if degree == 1:
+                lam = nu
+            else:
+                root = np.sqrt(nu.astype(complex))
+                lam = np.concatenate([root, -root])
             if not np.any(np.abs(lam - sigma) <= _SHIFT_GAP * max(1.0, abs(sigma))):
                 return lam
         sigma += _SHIFT_STEP * (window[1] - window[0])
@@ -624,9 +641,10 @@ def _raw_eigenvalues(pencil: _Collocation, window: Tuple[float, float]) -> np.nd
     splits exactly (Dauge 1989), or of their mirror halves where a block is
     mirror symmetric, each found by its own shift-invert solve
     (:func:`_shift_invert`) with its own shift moves.  At n = 64 the plane
-    block's linearization has size 321, or 161 and 160 for its halves, and
-    the antiplane block's 128, or 65 and 63; one of the whole pencil would
-    have size 449.
+    block is solved at size 4n = 256, or 128 and 128 for its halves, and
+    the antiplane block, in lam^2, at n - 1 = 63, or 32 and 31, where a
+    companion unknown lam u per interior velocity node gives 321 (161 + 160)
+    and 128 (65 + 63).
     """
     return np.concatenate([_shift_invert(block, window) for block in pencil.blocks])
 
@@ -637,10 +655,9 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
 
     The pencil splits into the plane Stokes block and the antiplane Laplace
     block (Dauge 1989), and a mirror-symmetric block into its even and odd
-    halves (:class:`_Collocation`).  Each is linearized compactly, with
-    companion unknowns only where its lam^2 term acts, and solved by
-    shift-invert from a shift near the window midpoint
-    (:func:`_raw_eigenvalues`).  Reported
+    halves (:class:`_Collocation`).  Each is linearized at the size of its
+    finite spectrum and solved by shift-invert from a shift near the window
+    midpoint (:func:`_raw_eigenvalues`).  Reported
     eigenvalues must reproduce under n -> 2n within ``_STAB_TOL`` and have
     normalized residual at 2n at most ``_RES_TOL``: the smallest singular
     value of the blocks over their largest.  That test is settled by an

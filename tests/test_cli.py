@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from polystokes import edge_pencil
@@ -12,7 +13,7 @@ from polystokes import fixtures as fx
 from polystokes.cli import (FixtureRow, main, verification_rows, parse_theta,
                             run_fixture_rows)
 from polystokes.edge_pencil import DihedronPencil, pencil_residual
-from polystokes.geometry import VertexBound
+from polystokes.geometry import BoundaryAssignment, VertexBound
 
 
 @pytest.fixture(scope="module")
@@ -425,10 +426,17 @@ def _fresh_interpreter(script, tmp_path):
     tetrahedron = fx.platonic("tetrahedron")
     slip = tmp_path / "tetrahedron-slip.domain"
     slip.write_text(fx.domain_document(tetrahedron, fx.with_conditions(tetrahedron, 2)))
+    # tangential velocity on the x and z faces, stress on the y faces
+    cube = fx.cube()
+    axis = np.argmax(np.abs(cube.face_normals), axis=1)
+    stress = tmp_path / "cube-tangential-stress.domain"
+    stress.write_text(fx.domain_document(
+        cube, BoundaryAssignment(tuple(3 if a == 1 else 1 for a in axis))))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run(
         [sys.executable, "-c", _LEAN_OPS + script,
-         os.path.join(root, "perfbench", "data", "cube-exterior.domain"), SHIPPED_CUBE, str(slip)],
+         os.path.join(root, "perfbench", "data", "cube-exterior.domain"), SHIPPED_CUBE, str(slip),
+         str(stress)],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -442,21 +450,25 @@ def test_analyze_on_closed_forms_loads_no_scipy(tmp_path):
     assert got == {"codes": [0, 0, 0], "loaded": []}
 
 
-_FIRST_SOLVE = """
-solver = {name: vars(edge_pencil).get(name) for name in ("eig", "svdvals", "lu_factor", "lu_solve")}
-before = scipy_modules()
+_NUMERIC_OPS = """
+solver = {name: vars(edge_pencil).get(name) for name in ("eig", "svdvals", "solve")}
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["pencil", "--theta", "1.3*pi", "--bc", "1,3", "--n", "8"])
-print(json.dumps({"solver": sorted(name for name, fn in solver.items() if callable(fn)),
-                  "before": before, "code": code, "linalg": "scipy.linalg" in sys.modules,
+    codes = [cli.main(["pencil", "--theta", "1.3*pi", "--bc", "1,3", "--n", "8"])]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(cli.main(["analyze", "--input", sys.argv[4], "--target", "w1", "--format", "json"]))
+report = json.loads(out.getvalue())
+print(json.dumps({"codes": codes, "loaded": scipy_modules(),
+                  "numeric": [e["mu_provenance"] for e in report["w1"]["edges"]].count("numeric"),
+                  "solver": sorted(name for name, fn in solver.items() if callable(fn)),
                   "same": all(vars(edge_pencil)[name] is fn for name, fn in solver.items())}))
 """
 
 
-def test_first_collocation_solve_loads_scipy_linalg(tmp_path):
-    # after the closed-form ops the solver's routines are still module
-    # attributes, where the benchmark's tracer and the tests patch them, and
-    # the first pencil solve loads scipy.linalg through them
-    got = _fresh_interpreter(_FIRST_SOLVE, tmp_path)
-    assert got == {"solver": ["eig", "lu_factor", "lu_solve", "svdvals"], "before": [],
-                   "code": 0, "linalg": True, "same": True}
+def test_collocation_solves_load_no_scipy(tmp_path):
+    # a pencil query and the eight numeric (1,3) edges of the tangential/
+    # stress cube run the collocation solver on numpy alone, whose routines
+    # stay module attributes, where the benchmark's tracer and the tests
+    # patch them
+    got = _fresh_interpreter(_NUMERIC_OPS, tmp_path)
+    assert got == {"codes": [0, 0], "loaded": [], "numeric": 8,
+                   "solver": ["eig", "solve", "svdvals"], "same": True}

@@ -689,6 +689,29 @@ def test_separable_solver_below_right_angle(pair, quantity, theta):
     assert abs(mu_numeric(theta, *pair, quantity=quantity).value - mv.value) <= ep._STAB_TOL
 
 
+# Within 3.1e-5 of pi the eigenvalues near 1/2 and 1 of these pairs lie
+# within the solver's clustering width of each other: pi/theta and 1, and
+# (1/2) pi/theta and 1 - (1/2) pi/theta.  The solver lists each group as one
+# value with the summed multiplicity.  The (0,0) values are 1 and the roots
+# k pi/theta of its factor sin(lam theta).
+_NEAR_HALF_SPACE = [((1, 2), math.pi - 1e-5), ((1, 2), math.pi + 1e-5),
+                    ((1, 1), math.pi - 1e-5), ((1, 1), math.pi + 1e-5),
+                    ((0, 0), math.pi - 1e-5)]
+
+
+@pytest.mark.xfail(strict=True, reason="the solver merges eigenvalues less than 1e-5 apart")
+@pytest.mark.parametrize("pair, theta", _NEAR_HALF_SPACE)
+def test_spectrum_near_the_half_space(pair, theta):
+    hi = 2.4
+    if pair == (0, 0):
+        expected = [1.0] + [k * math.pi / theta for k in (1, 2)]
+    else:
+        expected = list(_separable_spectrum(pair, theta, hi))
+    spec = solve_spectrum(DihedronPencil(theta, *pair), (0.0, hi), n=32)
+    missing = [v for v in expected if not any(abs(z - v) <= 1e-6 for z in spec.eigenvalues)]
+    assert not missing, (missing, spec.eigenvalues)
+
+
 def test_separable_exact_on_the_grid():
     # pi/theta = 24/k: (2,2) at pi/3 takes the second eigenvalue 3 - 1
     assert edge_exponent("mu", 2, 2, 8 / 24 * math.pi).bound == 2
@@ -745,7 +768,6 @@ def eig_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("pair, theta", _collisions())
 def test_shift_on_an_eigenvalue_moves(pair, theta, eig_calls):
     spec = solve_spectrum(DihedronPencil(theta, *pair), (0.0, 2.4), n=32)
@@ -777,29 +799,28 @@ def test_one_eigensolve_per_mirror_half(pair, blocks, eig_calls):
 
 
 def _zero_pivots(count):
-    """``lu_factor`` that reports a zero pivot on its first ``count`` calls."""
-    real, calls = ep.lu_factor, []
+    """``solve`` that reports a zero pivot on its first ``count`` calls."""
+    real, calls = ep.solve, []
 
-    def lu_factor(a):
+    def solve(a, b):
         calls.append(1)
         if len(calls) <= count:
-            warnings.warn("Diagonal number 1 is exactly zero. Singular matrix.",
-                          scipy.linalg.LinAlgWarning)
-        return real(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
 
-    return lu_factor
+    return solve
 
 
 def test_zero_pivot_moves_the_shift(monkeypatch, eig_calls):
     p = DihedronPencil(1.3 * math.pi, 1, 3)
     base = solve_spectrum(p, (0.0, 2.4), n=16)
-    monkeypatch.setattr(ep, "lu_factor", _zero_pivots(1))
+    monkeypatch.setattr(ep, "solve", _zero_pivots(1))
     moved = solve_spectrum(p, (0.0, 2.4), n=16)
     # four per solve, one per block and size: no eigensolve follows a zero pivot
     assert len(eig_calls) == 8
     assert len(moved.eigenvalues) == len(base.eigenvalues)
     assert max(abs(a - b) for a, b in zip(moved.eigenvalues, base.eigenvalues)) <= ep._STAB_TOL
-    monkeypatch.setattr(ep, "lu_factor", _zero_pivots(ep._SHIFT_MOVES + 1))
+    monkeypatch.setattr(ep, "solve", _zero_pivots(ep._SHIFT_MOVES + 1))
     with pytest.raises(WindowError):
         solve_spectrum(p, (0.0, 2.4), n=16)
 
@@ -856,19 +877,125 @@ def test_mirror_halves_keep_the_spectrum(pair, theta, hi, n, monkeypatch):
     p = DihedronPencil(theta, *pair)
     spec = solve_spectrum(p, (0.0, hi), n=n)
     monkeypatch.setattr(ep, "_blocks", _row_by_row_blocks)
-    ref = solve_spectrum(p, (0.0, hi), n=n)
+    _assert_same_nonzero_spectrum(spec, solve_spectrum(p, (0.0, hi), n=n))
 
-    def nonzero(values):
-        return [z for z in values if abs(z) > ep._RE_MIN]
 
-    got, want = nonzero(spec.eigenvalues), nonzero(ref.eigenvalues)
-    assert len(got) == len(want)
-    assert max((abs(a - b) for a, b in zip(got, want)), default=0.0) <= 1e-9
-    assert [m for z, m in zip(spec.eigenvalues, spec.multiplicities) if abs(z) > ep._RE_MIN] \
-        == [m for z, m in zip(ref.eigenvalues, ref.multiplicities) if abs(z) > ep._RE_MIN]
-    got, want = nonzero(spec.unresolved), nonzero(ref.unresolved)
-    assert len(got) == len(want)
-    assert max((abs(a - b) for a, b in zip(got, want)), default=0.0) <= 1e-9
+def _assert_same_nonzero_spectrum(spec, ref, rtol=0.0, largest=math.inf):
+    """Apart from the defective zero eigenvalue and values of modulus above
+    ``largest``, the same values within 1e-9 + ``rtol`` |lam|, the same
+    multiplicities and the same unresolved values."""
+    def kept(z):
+        return ep._RE_MIN < abs(z) <= largest
+
+    def same(got, want):
+        got, want = [z for z in got if kept(z)], [z for z in want if kept(z)]
+        assert len(got) == len(want), (got, want)
+        assert all(abs(a - b) <= 1e-9 + rtol * abs(b) for a, b in zip(got, want)), (got, want)
+
+    same(spec.eigenvalues, ref.eigenvalues)
+    assert [m for z, m in zip(spec.eigenvalues, spec.multiplicities) if kept(z)] \
+        == [m for z, m in zip(ref.eigenvalues, ref.multiplicities) if kept(z)]
+    same(spec.unresolved, ref.unresolved)
+
+
+def _compact_shift_invert(coefficients, window):
+    """Reference eigensolve: the shift-invert solve on the compact
+    linearization, a companion unknown w = lam u for each interior velocity
+    node, with scipy's LU and eigensolver, as before the deflation."""
+    A, B, C = coefficients
+    cols = np.flatnonzero(C.any(axis=0))
+    size, k = A.shape[0], len(cols)
+    L = np.zeros((size + k, size + k))
+    M = np.zeros_like(L)
+    L[:size, :size] = A
+    L[size:, size:] = np.eye(k)
+    M[:size, :size] = -B
+    M[:size, size:] = -C[:, cols]
+    M[size + np.arange(k), cols] = 1.0
+    sigma = ep._shift(window)
+    for _ in range(ep._SHIFT_MOVES + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = L - sigma * M
+        if not np.isfinite(shifted).all():
+            raise WindowError("the shift %r overflows the shifted pencil: the strip is too far out"
+                              % (sigma,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                lu = scipy.linalg.lu_factor(shifted)
+            except scipy.linalg.LinAlgWarning:  # a zero pivot: sigma is an eigenvalue
+                lu = None
+        if lu is not None:
+            mu = scipy.linalg.eig(scipy.linalg.lu_solve(lu, M), right=False)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                lam = sigma + 1.0 / mu
+            lam = lam[np.isfinite(lam)]
+            if not np.any(np.abs(lam - sigma) <= ep._SHIFT_GAP * max(1.0, abs(sigma))):
+                return lam
+        sigma += ep._SHIFT_STEP * (window[1] - window[0])
+    raise WindowError("every shift tried in the window lies on the spectrum")
+
+
+def _finite_orders(p, n):
+    """The order of each eigensolve at size n, plane block first: the finite
+    spectrum of the plane block, 4n, or 2n for each of its mirror halves,
+    and of the antiplane block in lam^2, its n - 1 interior nodes, or n/2
+    and n/2 - 1 for its halves."""
+    plane = [4 * n] if p.d_plus != p.d_minus else [2 * n, 2 * n]
+    fixes_z = ["z" in ep._VELOCITY_TRACES[d] for d in (p.d_plus, p.d_minus)]
+    antiplane = [n - 1] if fixes_z[0] != fixes_z[1] else [n // 2, n // 2 - 1]
+    return plane + antiplane
+
+
+def _runs(values):
+    """``values`` with each run of equal neighbours taken once."""
+    return [v for i, v in enumerate(values) if i == 0 or values[i - 1] != v]
+
+
+def _deflation_and_reference(p, window, n, monkeypatch):
+    """The spectrum, the order of each eigensolve behind it, and the
+    spectrum of the :func:`_compact_shift_invert` reference."""
+    orders = []
+    real_eig = ep.eig
+
+    def recording(a, *args, **kwargs):
+        orders.append(len(a))
+        return real_eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(ep, "eig", recording)
+    spec = solve_spectrum(p, window, n=n)
+    monkeypatch.setattr(ep, "eig", real_eig)
+    monkeypatch.setattr(ep, "_shift_invert", _compact_shift_invert)
+    return spec, orders, solve_spectrum(p, window, n=n)
+
+
+@pytest.mark.parametrize("pair, theta, hi, n", _ordered_cases())
+def test_deflated_linearization_keeps_the_spectrum(pair, theta, hi, n, monkeypatch):
+    # each block solved at the order of its finite spectrum, against the
+    # compact linearization with scipy's LAPACK: apart from the defective
+    # zero eigenvalue, the same spectrum to rounding
+    p = DihedronPencil(theta, *pair)
+    spec, orders, ref = _deflation_and_reference(p, (0.0, hi), n, monkeypatch)
+    assert orders == _finite_orders(p, n) + _finite_orders(p, 2 * n)
+    _assert_same_nonzero_spectrum(spec, ref)
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.floats(0.1 * math.pi, 1.9 * math.pi),
+       st.sampled_from((8, 12, 16, 24)), st.integers(0, 3))
+@settings(deadline=None)
+def test_deflated_linearization_property(d_plus, d_minus, theta, n, widenings):
+    # the strips mu_numeric tries, at sizes up to its default.  A moved
+    # shift repeats an eigensolve at the same order.  A coarse collocation's
+    # eigenvalues are accurate to about 1e-8 relative in either
+    # linearization, and values above 1e6 are infinite eigenvalues that
+    # rounding moved into the strip, which the companion form can list and
+    # the deflated one cannot
+    p = DihedronPencil(theta, d_plus, d_minus)
+    window = (0.0, max(2.4, math.pi / theta + 0.8) * 1.6 ** widenings)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spec, orders, ref = _deflation_and_reference(p, window, n, monkeypatch)
+    assert _runs(orders) == _runs(_finite_orders(p, n) + _finite_orders(p, 2 * n))
+    _assert_same_nonzero_spectrum(spec, ref, rtol=1e-8, largest=1e6)
 
 
 # -- the residual stage --------------------------------------------------------------
