@@ -1,8 +1,8 @@
 """Built-in domain fixtures: Platonic solids, the unit cube, and step prisms.
 
-The regular solids are generated from their vertex coordinates via a convex
-hull, merging coplanar hull triangles into the true polygonal faces.  These
-meshes back the worked examples and the published-value verification table.
+Each solid is its vertex coordinates and a literal table of outward face
+loops, as the step prism writes its faces.  These meshes back the worked
+examples and the published-value verification table.
 """
 
 from __future__ import annotations
@@ -53,39 +53,31 @@ def _platonic_vertices(name: str) -> np.ndarray:
     raise ValueError("unknown solid %r (expected one of %s)" % (name, ", ".join(PLATONIC_NAMES)))
 
 
-def _hull_faces(vertices: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-    """Outward-oriented polygonal faces of the convex hull of the vertices."""
-    # imported on use: `analyze` and `pencil` never build a fixture mesh
-    from scipy.spatial import ConvexHull
-    hull = ConvexHull(vertices)
-    # group coplanar simplices by their hull equation
-    groups: Dict[Tuple[int, ...], list] = {}
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        key = tuple(np.round(eq / np.linalg.norm(eq[:3]), 8))
-        groups.setdefault(key, []).append(simplex)
-    faces = []
-    center = vertices.mean(axis=0)
-    for key, simplices in groups.items():
-        normal = np.array(key[:3])
-        ids = sorted(set(int(i) for s in simplices for i in s))
-        pts = vertices[ids]
-        origin = pts.mean(axis=0)
-        # order the face vertices counterclockwise around the outward normal
-        u = pts[0] - origin
-        u = u / np.linalg.norm(u)
-        v = np.cross(normal, u)
-        ang = np.arctan2((pts - origin) @ v, (pts - origin) @ u)
-        loop = [ids[i] for i in np.argsort(ang)]
-        if np.dot(normal, center - origin) > 0:  # normal must point away from the solid
-            loop.reverse()
-        faces.append(tuple(loop))
-    return tuple(faces)
+# Outward-oriented face loops of the fixture solids, counterclockwise seen
+# from outside, over the vertex order of `_platonic_vertices` and
+# `slip_frustum`.  The face order fixes the edge ids of each mesh.
+_FACES: Dict[str, Tuple[Tuple[int, ...], ...]] = {
+    "tetrahedron": ((2, 0, 1), (3, 0, 2), (2, 1, 3), (1, 0, 3)),
+    "cube": ((4, 0, 2, 6), (1, 0, 4, 5), (5, 4, 6, 7), (2, 0, 1, 3), (6, 2, 3, 7),
+             (3, 1, 5, 7)),
+    "octahedron": ((3, 1, 5), (5, 0, 3), (4, 1, 3), (3, 0, 4), (2, 0, 5), (5, 1, 2),
+                   (4, 0, 2), (2, 1, 4)),
+    "dodecahedron": ((6, 13, 4, 8, 14), (14, 8, 0, 10, 2), (16, 10, 0, 9, 1),
+                     (3, 12, 2, 10, 16), (5, 11, 1, 9, 15), (15, 9, 0, 8, 4),
+                     (5, 15, 4, 13, 19), (3, 16, 1, 11, 17), (17, 11, 5, 19, 7),
+                     (6, 14, 2, 12, 18), (19, 13, 6, 18, 7), (18, 12, 3, 17, 7)),
+    "icosahedron": ((2, 0, 1), (6, 2, 4), (5, 0, 6), (6, 0, 2), (3, 1, 7), (7, 0, 5),
+                    (1, 0, 7), (4, 2, 8), (2, 1, 8), (8, 1, 3), (8, 3, 9), (9, 4, 8),
+                    (10, 4, 9), (6, 4, 10), (10, 5, 6), (7, 5, 11), (9, 3, 11),
+                    (11, 3, 7), (10, 9, 11), (11, 5, 10)),
+    "slip frustum": ((5, 4, 6, 7), (4, 0, 2, 6), (6, 2, 3, 7), (5, 1, 0, 4), (7, 3, 1, 5),
+                     (2, 0, 1, 3)),
+}
 
 
 def platonic(name: str, complement: bool = False) -> Polyhedron:
     """One of the five regular solids, optionally as an exterior domain."""
-    verts = _platonic_vertices(name)
-    return Polyhedron(verts, _hull_faces(verts), complement=complement,
+    return Polyhedron(_platonic_vertices(name), _FACES[name], complement=complement,
                       name=name + (" exterior" if complement else ""))
 
 
@@ -134,8 +126,31 @@ def slip_frustum() -> Polyhedron:
     """
     verts = [(x, y, 0.0) for x in (-1, 1) for y in (-1, 1)]
     verts += [(2 * x, 2 * y, 1.0) for x in (-1, 1) for y in (-1, 1)]
-    verts = np.array(verts, dtype=float)
-    return Polyhedron(verts, _hull_faces(verts), name="slip frustum")
+    return Polyhedron(np.array(verts, dtype=float), _FACES["slip frustum"], name="slip frustum")
+
+
+def _yaml_string(text: str) -> str:
+    """A YAML scalar that loads back as exactly ``text``.
+
+    A string whose repr has no backslash is written as that repr, which YAML
+    reads verbatim.  Any other string becomes a double-quoted scalar with
+    backslash, double quote and every non-printable character escaped by
+    code point: YAML folds a literal NEL, line or paragraph separator into a
+    space, and libyaml refuses the surrogate pairs of JSON's escapes.
+    """
+    quoted = repr(text)
+    if "\\" not in quoted:
+        return quoted
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in '"\\':
+            out.append("\\" + ch)
+        elif ch.isprintable():
+            out.append(ch)
+        else:
+            out.append("\\u%04x" % code if code < 0x10000 else "\\U%08x" % code)
+    return '"%s"' % "".join(out)
 
 
 def domain_document(poly: Polyhedron, bc: BoundaryAssignment,
@@ -143,7 +158,7 @@ def domain_document(poly: Polyhedron, bc: BoundaryAssignment,
     """Serialize a domain back to the text schema understood by the loader."""
     lines = []
     if poly.name:
-        lines.append("name: %r" % poly.name)
+        lines.append("name: %s" % _yaml_string(poly.name))
     lines.append("complement: %s" % ("true" if poly.complement else "false"))
     lines.append("vertices:")
     for p in poly.vertices:
@@ -154,5 +169,5 @@ def domain_document(poly: Polyhedron, bc: BoundaryAssignment,
     if bounds:
         lines.append("vertex_bounds:")
         for v, vb in sorted(bounds.items()):
-            lines.append("  %d: {bound: %.17g, note: %r}" % (v, vb.bound, vb.note))
+            lines.append("  %d: {bound: %.17g, note: %s}" % (v, vb.bound, _yaml_string(vb.note)))
     return "\n".join(lines) + "\n"

@@ -472,3 +472,21 @@ def test_collocation_solves_load_no_scipy(tmp_path):
     got = _fresh_interpreter(_NUMERIC_OPS, tmp_path)
     assert got == {"codes": [0, 0], "loaded": [], "numeric": 8,
                    "solver": ["eig", "solve", "svdvals"], "same": True}
+
+
+_FIXTURE_OPS = """
+from polystokes import fixtures
+meshes = [fixtures.platonic(name, complement) for name in fixtures.PLATONIC_NAMES
+          for complement in (False, True)]
+meshes += [fixtures.slip_frustum(), fixtures.step_prism()]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["verify-paper"]))
+print(json.dumps({"codes": codes, "meshes": len(meshes), "loaded": scipy_modules()}))
+"""
+
+
+def test_fixtures_and_verify_paper_load_no_scipy(tmp_path):
+    # the fixture solids are literal face tables, so only the Lipschitz-graph
+    # linear program is left to load scipy
+    got = _fresh_interpreter(_FIXTURE_OPS, tmp_path)
+    assert got == {"codes": [0, 0, 0, 0], "meshes": 12, "loaded": []}

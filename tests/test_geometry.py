@@ -4,10 +4,14 @@ import math
 import os
 import re
 from fractions import Fraction as F
+from typing import Dict, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, strategies as st
+from scipy.spatial import ConvexHull
 
 from polystokes import fixtures as fx
 from polystokes import geometry
@@ -149,6 +153,25 @@ def test_both_yaml_loaders_refuse_malformed_yaml(monkeypatch, text, loader):
         monkeypatch.setattr(geometry, "_YAML_LOADER", yaml.SafeLoader)
     with pytest.raises(DomainFileError, match="^unparsable domain file: "):
         loads_polyhedron(text)
+
+
+# a name is written only when it is not empty
+@given(name=st.text(min_size=1), note=st.text())
+@example(name="back\\slash", note="tab\there")
+@example(name="line\nbreak", note="\x85")
+@example(name="\u2028", note="\u2029")
+@example(name="\U0001f600", note="it's \"quoted\"")
+def test_name_and_note_survive_the_round_trip(name, note):
+    tet = fx.platonic("tetrahedron")
+    poly = Polyhedron(tet.vertices, tet.faces, name=name)
+    doc = fx.domain_document(poly, fx.with_conditions(poly, 0), {0: VertexBound(0.25, note)})
+    if "\\" not in repr(name):
+        # a string that YAML reads verbatim is written as before
+        assert doc.startswith("name: %r\n" % name)
+    for loader in (geometry._YAML_LOADER, yaml.SafeLoader):
+        with mock.patch.object(geometry, "_YAML_LOADER", loader):
+            got, _, bounds = loads_polyhedron(doc)
+        assert (got.name, bounds[0].note) == (name, note)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
@@ -415,3 +438,65 @@ def test_euler_characteristic(step):
 def test_bc_index_table():
     assert BC_INDEX == {"dirichlet": 0, "tangential-velocity": 1,
                         "slip": 2, "neumann": 3}
+
+
+# -- fixture face tables ----------------------------------------------------------
+
+def _hull_faces(vertices: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+    """Outward-oriented polygonal faces of the convex hull of the vertices."""
+    hull = ConvexHull(vertices)
+    # group coplanar simplices by their hull equation
+    groups: Dict[Tuple[int, ...], list] = {}
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        key = tuple(np.round(eq / np.linalg.norm(eq[:3]), 8))
+        groups.setdefault(key, []).append(simplex)
+    faces = []
+    center = vertices.mean(axis=0)
+    for key, simplices in groups.items():
+        normal = np.array(key[:3])
+        ids = sorted(set(int(i) for s in simplices for i in s))
+        pts = vertices[ids]
+        origin = pts.mean(axis=0)
+        # order the face vertices counterclockwise around the outward normal
+        u = pts[0] - origin
+        u = u / np.linalg.norm(u)
+        v = np.cross(normal, u)
+        ang = np.arctan2((pts - origin) @ v, (pts - origin) @ u)
+        loop = [ids[i] for i in np.argsort(ang)]
+        if np.dot(normal, center - origin) > 0:  # normal must point away from the solid
+            loop.reverse()
+        faces.append(tuple(loop))
+    return tuple(faces)
+
+
+FIXTURE_SOLIDS = fx.PLATONIC_NAMES + ("slip frustum",)
+
+
+def _fixture(name):
+    return fx.slip_frustum() if name == "slip frustum" else fx.platonic(name)
+
+
+@pytest.mark.parametrize("name", FIXTURE_SOLIDS)
+def test_face_table_is_the_convex_hull(name):
+    # the convex hull that built these meshes at run time, kept as the
+    # reference: the same faces, face order and loop starts
+    poly = _fixture(name)
+    assert fx._FACES[name] == _hull_faces(poly.vertices)
+    assert poly.faces == fx._FACES[name]
+
+
+@pytest.mark.parametrize("name", FIXTURE_SOLIDS)
+def test_face_loops_are_planar_and_outward(name):
+    vertices = _fixture(name).vertices
+    for loop in fx._FACES[name]:
+        pts = vertices[list(loop)]
+        origin = pts.mean(axis=0)
+        # Newell's normal: a loop counterclockwise seen from outside points out
+        normal = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+        normal /= np.linalg.norm(normal)
+        assert np.abs((pts - origin) @ normal).max() < 1e-12
+        others = np.delete(vertices, list(loop), axis=0)
+        assert ((others - origin) @ normal).max() < -1e-6
+    for complement in (False, True):
+        poly = Polyhedron(vertices, fx._FACES[name], complement=complement)
+        assert len(poly.vertices) - len(poly.edges) + len(poly.faces) == 2
