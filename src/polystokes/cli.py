@@ -20,7 +20,7 @@ from . import fixtures
 # pencil_residual is imported only as a lookup site that perfbench/tracer.py wraps
 from .edge_pencil import (DihedronPencil, MU_THRESHOLD_TWO_THIRDS, WindowError,
                           edge_exponent, mu_numeric, mu_real_root, pencil_residual,
-                          pencil_residuals, shared_collocation, solve_spectrum)
+                          solve_spectrum)
 from .geometry import DomainFileError, MeshError, load_polyhedron
 from .regularity import (TARGETS, DataFlags, Interval, ProblemSpec, RegularityQuery,
                          check, decision_table, max_s)
@@ -214,18 +214,17 @@ def _cmd_pencil(args) -> int:
     except (ValueError, TypeError) as exc:
         print("argument error: %s" % exc, file=sys.stderr)
         return 1
-    with shared_collocation():  # the residuals at n reuse the solve's collocation
-        try:
-            spec = solve_spectrum(pencil, (lo, hi), n=args.n)
-        except WindowError as exc:
-            print("argument error: --window %r: %s" % (args.window, exc), file=sys.stderr)
-            return 1
-        except ValueError as exc:  # the opening is too small to collocate
-            print("argument error: --theta %r: %s" % (args.theta, exc), file=sys.stderr)
-            return 1
-        residuals = pencil_residuals(pencil, spec.eigenvalues, args.n)
+    try:
+        spec = solve_spectrum(pencil, (lo, hi), n=args.n)
+    except WindowError as exc:
+        print("argument error: --window %r: %s" % (args.window, exc), file=sys.stderr)
+        return 1
+    except ValueError as exc:  # the opening is too small to collocate
+        print("argument error: --theta %r: %s" % (args.theta, exc), file=sys.stderr)
+        return 1
+    # the residuals at n, read from the collocation the solve kept
     rows = [{"re": ev.real, "im": ev.imag, "multiplicity": m, "residual": res}
-            for ev, m, res in zip(spec.eigenvalues, spec.multiplicities, residuals)]
+            for ev, m, res in zip(spec.eigenvalues, spec.multiplicities, spec.residuals)]
     nu_note = "spectra are viscosity-independent (pressure rescaling); computed with nu=1"
     out = {"theta": theta, "bc": [d_plus, d_minus], "window": [lo, hi],
            "n": args.n, "eigenvalues": rows,

@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -67,7 +66,6 @@ __all__ = [
     "separable",
     "assemble_pencil",
     "solve_spectrum",
-    "shared_collocation",
     "mu_of_edge_point",
     "class_bound",
     "edge_exponent",
@@ -146,8 +144,10 @@ class Spectrum:
     reproduce: it is left out of ``unresolved``, and ``multiplicities`` count
     the reproduced copies only.  Every listed value passed that residual
     test, which decides "at most ``_RES_TOL``" without computing the residual
-    where a bound settles it; the residuals themselves come from
-    :func:`pencil_residuals`.
+    where a bound settles it; the residuals themselves are ``residuals``.
+
+    :func:`solve_spectrum` keeps the collocation at n of its coarse solve,
+    left out of equality and repr, so that ``residuals`` reads from it.
     """
 
     eigenvalues: Tuple[complex, ...]
@@ -155,9 +155,16 @@ class Spectrum:
     window: Tuple[float, float]
     n: int
     unresolved: Tuple[complex, ...] = ()
+    _coarse: Optional[_Collocation] = field(default=None, repr=False, compare=False)
 
     def real_parts(self) -> np.ndarray:
         return np.array([ev.real for ev in self.eigenvalues])
+
+    @cached_property
+    def residuals(self) -> Tuple[float, ...]:
+        """:func:`pencil_residual` at n of each of ``eigenvalues``, once per
+        conjugate pair, computed on first read from the solve's collocation."""
+        return tuple(_per_pair(_residual, self._coarse, self.eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -432,34 +439,6 @@ def _blocks(p: DihedronPencil, n: int) -> _Collocation:
     return _Collocation((A, B, C), split, tuple(blocks))
 
 
-# the collocations of the open shared_collocation block, by (wedge, size)
-_SHARED: ContextVar[Optional[dict]] = ContextVar("shared_collocation", default=None)
-
-
-@contextmanager
-def shared_collocation():
-    """Inside the block, each wedge is collocated once per size: the
-    residuals the ``pencil`` command prints at n reuse the collocation its
-    spectrum's solve built.  The collocations are dropped when the block
-    ends, so none outlives it."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _collocation(p: DihedronPencil, n: int) -> _Collocation:
-    """:func:`_blocks`, taken from the open :func:`shared_collocation` block
-    when there is one."""
-    shared = _SHARED.get()
-    if shared is None:
-        return _blocks(p, n)
-    if (p, n) not in shared:
-        shared[p, n] = _blocks(p, n)
-    return shared[p, n]
-
-
 def _evaluate(coefficients: _Coefficients, lam: complex) -> np.ndarray:
     A, B, C = coefficients
     return A + lam * B + lam ** 2 * C
@@ -531,11 +510,6 @@ def _per_pair(score, pencil: _Collocation, lams: Sequence[complex]) -> list:
     return [done[lam.real, abs(lam.imag)] for lam in lams]
 
 
-def _residuals(pencil: _Collocation, lams: Sequence[complex]) -> List[float]:
-    """:func:`_residual` at each of ``lams``, once per conjugate pair."""
-    return _per_pair(_residual, pencil, lams)
-
-
 def pencil_residual(p: DihedronPencil, lam: complex, n: int) -> float:
     """Normalized smallest singular value of the discretized pencil.
 
@@ -544,12 +518,7 @@ def pencil_residual(p: DihedronPencil, lam: complex, n: int) -> float:
     arithmetic, and ``lam`` and its conjugate share those SVDs.  Values below
     about 1e-15 are rounding noise: their digits may differ between versions.
     """
-    return _residual(_collocation(p, n), lam)
-
-
-def pencil_residuals(p: DihedronPencil, lams: Sequence[complex], n: int) -> List[float]:
-    """:func:`pencil_residual` at each of ``lams``, from one assembly."""
-    return _residuals(_collocation(p, n), lams)
+    return _residual(_blocks(p, n), lam)
 
 
 _SHIFT_OFFSET = math.sqrt(2.0) / 100.0  # the shift sits this far above the window midpoint
@@ -605,14 +574,16 @@ def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> n
     columns where M has a nonzero column, and only those are solved for.  In
     nu = lam^2 both roots +-sqrt(nu) are returned.  A shift that hits the
     spectrum (a zero pivot, or a computed eigenvalue within ``_SHIFT_GAP``
-    of sigma) is moved by ``_SHIFT_STEP`` of the window width.
+    of sigma) is moved by ``_SHIFT_STEP`` of the window width.  A shift so
+    far out that s, L - s M or K is not finite raises :class:`WindowError`.
     """
     L, M, degree = _linearization(coefficients)
     keep = np.flatnonzero(M.any(axis=0))
     sigma = _shift(window)
     for _ in range(_SHIFT_MOVES + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            shifted = L - sigma ** degree * M
+            s = np.float64(sigma) ** degree  # a float past the range turns into inf, not an error
+            shifted = L - s * M
         if not np.isfinite(shifted).all():
             raise WindowError("the shift %r overflows the shifted pencil: the strip is too far out"
                               % (sigma,))
@@ -621,8 +592,11 @@ def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> n
         except np.linalg.LinAlgError:  # a zero pivot: sigma is an eigenvalue
             pass
         else:
+            if not np.isfinite(K).all():
+                raise WindowError("the shift %r overflows the inverted pencil: the strip is too "
+                                  "far out" % (sigma,))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                nu = sigma ** degree + 1.0 / eig(K)
+                nu = s + 1.0 / eig(K)
             nu = nu[np.isfinite(nu)]
             if degree == 1:
                 lam = nu
@@ -670,8 +644,9 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     re_lo, re_hi = window
     if not re_lo < re_hi or not np.isfinite(re_lo) or not np.isfinite(re_hi):
         raise ValueError("window must be a bounded strip")
-    coarse = _raw_eigenvalues(_collocation(p, n), window)
-    fine_pencil = _collocation(p, 2 * n)
+    coarse_pencil = _blocks(p, n)
+    coarse = _raw_eigenvalues(coarse_pencil, window)
+    fine_pencil = _blocks(p, 2 * n)
     fine = _raw_eigenvalues(fine_pencil, window)
     sel = fine[(fine.real >= re_lo - 1e-12) & (fine.real <= re_hi + 1e-12)]
     kept: List[complex] = []
@@ -684,7 +659,7 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     values, counts = _clusters(kept)
     unresolved = [lam for lam in unresolved
                   if not any(abs(lam - k) <= 10 * _STAB_TOL for k in kept)]
-    return Spectrum(values, counts, (re_lo, re_hi), n, _clusters(unresolved)[0])
+    return Spectrum(values, counts, (re_lo, re_hi), n, _clusters(unresolved)[0], coarse_pencil)
 
 
 def _clusters(values: Sequence[complex]) -> Tuple[Tuple[complex, ...], Tuple[int, ...]]:

@@ -157,7 +157,7 @@ def domain_document(poly: Polyhedron, bc: BoundaryAssignment,
                     bounds: Optional[Dict[int, VertexBound]] = None) -> str:
     """Serialize a domain back to the text schema understood by the loader."""
     lines = []
-    if poly.name:
+    if poly.name is not None:
         lines.append("name: %s" % _yaml_string(poly.name))
     lines.append("complement: %s" % ("true" if poly.complement else "false"))
     lines.append("vertices:")

@@ -195,7 +195,6 @@ class Polyhedron:
         self.face_normals, self.face_areas = self._face_planes()
         self.edges, self._solid_angles = self._derive_edges()
         self._validate_global()
-        self._cone_cache: Dict[int, VertexCone] = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -331,8 +330,6 @@ class Polyhedron:
     # -- vertex cones -----------------------------------------------------------
 
     def vertex_cone(self, vertex: int) -> VertexCone:
-        if vertex in self._cone_cache:
-            return self._cone_cache[vertex]
         faces = self.incident_faces(vertex)
         gens = self._sector_generators(vertex, faces)
         w = _supporting_normal(gens)
@@ -351,9 +348,7 @@ class Polyhedron:
             solid = [self._solid_angles[e.id] for e in edges]
             fluid = sum(2 * math.pi - t if self.complement else t for t in solid)
             contained = fluid < len(edges) * math.pi
-        cone = VertexCone(vertex, self.face_normals[list(faces)], contained)
-        self._cone_cache[vertex] = cone
-        return cone
+        return VertexCone(vertex, self.face_normals[list(faces)], contained)
 
     def _sector_generators(self, vertex: int, faces: Sequence[int]) -> np.ndarray:
         """Edge rays and in-face corner bisectors of the face sectors at a vertex.

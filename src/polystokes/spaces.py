@@ -42,9 +42,6 @@ class Eps:
     val: Number
     k: int = 0
 
-    def _key(self):
-        return (self.val, self.k)
-
     def __add__(self, other):
         other = as_eps(other)
         return Eps(self.val + other.val, self.k + other.k)

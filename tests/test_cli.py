@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -7,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polystokes import edge_pencil
 from polystokes import fixtures as fx
@@ -80,6 +84,54 @@ def test_pencil_overflowing_shift_is_a_window_error(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("argument error: --window '1e308,1.7e308': the shift inf overflows")
+
+
+# the pairs whose antiplane block is solved in lam^2: at --window 0,1e160 the
+# shift 5e+159 squares past the float range, which used to raise OverflowError
+_SQUARED_SHIFT_PAIRS = ["0,0", "0,2", "0,3", "2,0", "2,2", "2,3", "3,0", "3,2", "3,3"]
+
+
+@pytest.mark.parametrize("bc", _SQUARED_SHIFT_PAIRS)
+def test_pencil_squared_shift_past_the_float_range_is_a_window_error(capsys, bc):
+    assert main(["pencil", "--theta", "1.3*pi", "--bc", bc, "--window", "0,1e160"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("argument error: --window '0,1e160': the shift 5e+159 overflows "
+                          "the shifted pencil")
+
+
+@pytest.mark.parametrize("bc", ["1,1", "1,3", "3,1"])
+def test_pencil_non_finite_inverse_is_a_window_error(capsys, bc):
+    # the shifted pencil stays finite, its inverse does not: the eigensolve
+    # used to refuse it, and the refusal named --theta
+    assert main(["pencil", "--theta", "1.3*pi", "--bc", bc, "--window", "0,1e160"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("argument error: --window '0,1e160': the shift ")
+    assert "overflows the inverted pencil" in err
+
+
+@settings(deadline=None)
+@given(theta=st.one_of(st.floats(1e-300, 2 * math.pi, exclude_max=True).map(repr),
+                       st.integers(1, 1999).map(lambda k: "%d.%03d*pi" % divmod(k, 1000))),
+       pair=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True).map(sorted),
+       n=st.sampled_from([8, 16]))
+def test_pencil_query_names_the_faulty_argument(theta, pair, ends, n):
+    # whatever the opening, pair and finite window, a pencil query answers or
+    # refuses one argument: the window, or an opening too small to collocate
+    argv = ["pencil", "--theta", theta, "--bc", "%d,%d" % pair,
+            "--window=%r,%r" % tuple(ends), "--n", str(n), "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1), argv
+    if code == 1:
+        err = err.getvalue()
+        assert err.startswith("argument error: --window ") or (
+            err.startswith("argument error: --theta ") and "is too small" in err), (argv, err)
 
 
 def test_pencil_lists_each_unresolved_value_once(capsys):
@@ -386,8 +438,8 @@ def test_pencil_residuals_from_one_assembly(capsys):
 
 
 def test_pencil_collocates_each_size_once(monkeypatch, capsys):
-    # the residuals at n reuse the collocation of the solve, and no
-    # collocation is kept once the command returns
+    # the residuals at n are read from the collocation of the solve, and no
+    # collocation outlives the command
     sizes = []
     real = edge_pencil._blocks
 
@@ -400,7 +452,8 @@ def test_pencil_collocates_each_size_once(monkeypatch, capsys):
         assert main(["pencil", "--theta", "1.3*pi", "--bc", "3,3", "--n", "16"]) == 0
         assert "residual" in capsys.readouterr().out
     assert sizes == [16, 32, 16, 32]
-    assert edge_pencil._SHARED.get() is None
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, edge_pencil._Collocation)]
 
 
 # the ops of the lean start-up tests: the cube exterior's 3*pi/2 edges take

@@ -427,6 +427,31 @@ def test_lambda_one_for_even_pairs():
         assert pencil_residual(p, 1.0, 24) < 1e-8
 
 
+@pytest.mark.parametrize("pair", [(0, 0), (0, 1), (1, 3), (2, 3), (3, 3)],
+                         ids="{0[0]}{0[1]}".format)
+def test_spectrum_residuals_are_the_pencil_residuals(pair):
+    # read from the collocation the solve kept, to the bit, conjugates too
+    for f in (0.35, 0.9, 1.3, 1.55):
+        p = DihedronPencil(f * math.pi, *pair)
+        spec = solve_spectrum(p, (0.0, 2.4), n=16)
+        assert spec.eigenvalues and len(spec.residuals) == len(spec.eigenvalues)
+        assert list(spec.residuals) == [pencil_residual(p, lam, 16) for lam in spec.eigenvalues]
+        # the kept collocation is not part of the value
+        assert spec == ep.Spectrum(spec.eigenvalues, spec.multiplicities, spec.window,
+                                   spec.n, spec.unresolved)
+        assert repr(spec) == repr(ep.Spectrum(spec.eigenvalues, spec.multiplicities,
+                                              spec.window, spec.n, spec.unresolved))
+
+
+def test_exponents_never_read_the_residuals(monkeypatch):
+    # the residual SVDs are paid for only where the residuals are read
+    def unread(self):
+        raise AssertionError("residuals read")
+    monkeypatch.setattr(ep.Spectrum, "residuals", property(unread))
+    for pair, f in (((0, 1), 0.7), ((1, 3), 0.7), ((1, 3), 1.3), ((0, 3), 1.3)):
+        assert mu_numeric(f * math.pi, *pair, n=16).provenance == "numeric"
+
+
 def test_window_must_be_bounded():
     with pytest.raises(ValueError):
         solve_spectrum(DihedronPencil(math.pi / 2, 0, 0), (1.0, 0.0))

@@ -155,8 +155,8 @@ def test_both_yaml_loaders_refuse_malformed_yaml(monkeypatch, text, loader):
         loads_polyhedron(text)
 
 
-# a name is written only when it is not empty
-@given(name=st.text(min_size=1), note=st.text())
+# an empty name is written and read back too
+@given(name=st.text(), note=st.text())
 @example(name="back\\slash", note="tab\there")
 @example(name="line\nbreak", note="\x85")
 @example(name="\u2028", note="\u2029")
