@@ -202,11 +202,29 @@ def _cmd_verify_paper(args) -> int:
     return 0 if ok else 2
 
 
+def _option(option: str, text: str, read: Callable[[str], object]):
+    """``read(text)``; its ValueError names the option and echoes the value."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ValueError("%s %r: %s" % (option, text, exc)) from None
+
+
+def _two(read: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A reader of 'a,b' that reads each value with ``read``."""
+    def pair(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError("expected two values separated by a comma, got %d" % len(parts))
+        return read(parts[0]), read(parts[1])
+    return pair
+
+
 def _cmd_pencil(args) -> int:
     try:
-        theta = parse_theta(args.theta)
-        d_plus, d_minus = (int(x) for x in args.bc.split(","))
-        lo, hi = (float(x) for x in args.window.split(","))
+        theta = _option("--theta", args.theta, parse_theta)
+        d_plus, d_minus = _option("--bc", args.bc, _two(int))
+        lo, hi = _option("--window", args.window, _two(float))
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("--window %r is not a finite strip 'lo,hi' with lo < hi"
                              % args.window)
@@ -278,19 +296,26 @@ def _parse_weights(option: str, text: Optional[str]):
     return vals[0] if len(vals) == 1 else vals
 
 
+# the names --assume accepts, and the data flag each asserts
+_ASSUMPTIONS = {"data": "data_in_required_spaces",
+                "compatibility": "compatibility_conditions_hold",
+                "small-data": "small_data",
+                "lipschitz": "lipschitz_graph"}
+
+
 def _cmd_analyze(args) -> int:
     try:
         poly, bc, bounds = load_polyhedron(args.input, tol=args.tol)
     except (DomainFileError, MeshError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 1
-    assumed = set((args.assume or "").split(",")) - {""}
-    flags = DataFlags(
-        data_in_required_spaces="data" in assumed,
-        compatibility_conditions_hold="compatibility" in assumed,
-        small_data="small-data" in assumed,
-        lipschitz_graph="lipschitz" in assumed,
-    )
+    assumed = [a.strip() for a in args.assume.split(",") if a.strip()]
+    unknown = [a for a in assumed if a not in _ASSUMPTIONS]
+    if unknown:
+        print("input error: --assume: unknown assumption %r (accepted: %s)"
+              % (unknown[0], ", ".join(_ASSUMPTIONS)), file=sys.stderr)
+        return 1
+    flags = DataFlags(**{flag: name in assumed for name, flag in _ASSUMPTIONS.items()})
     spec = ProblemSpec(poly, bc, flags, kind=args.kind, vertex_bounds=bounds)
     reports = {}
     warnings: List[str] = []
@@ -299,7 +324,8 @@ def _cmd_analyze(args) -> int:
         t = t.lower()
         target = t.upper()
         if target not in TARGETS:
-            print("unknown target %r" % t, file=sys.stderr)
+            print("input error: --target: unknown target %r (accepted: %s)"
+                  % (t, ", ".join(x.lower() for x in TARGETS)), file=sys.stderr)
             return 1
         holder = target in ("C1", "C2")
         if holder and args.sigma is None:

@@ -15,6 +15,7 @@ angles kept beside the edges.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -378,9 +379,11 @@ class Polyhedron:
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call: only the
-    Lipschitz-graph check at stress-only vertices needs it, and the import
-    costs more than most ops."""
+    """``scipy.optimize.linprog``, imported on the first call.  Nothing in
+    the program calls it any more: :func:`graph_direction_feasible` is a
+    closed form.  The name stays because ``perfbench/tracer.py`` wraps it at
+    install and raises ``KeyError`` for a missing name; the benchmark's next
+    change deletes it with that lookup."""
     from scipy.optimize import linprog as solve
     return solve(*args, **kwargs)
 
@@ -388,15 +391,33 @@ def linprog(*args, **kwargs):
 def graph_direction_feasible(normals: np.ndarray, tol: float = 1e-9) -> bool:
     """Heuristic for the Lipschitz-graph property at a vertex: the cone
     boundary is a graph over some plane when a direction has strictly
-    positive dot product with every incident outward face normal."""
-    m = len(normals)
-    if m == 0:
-        return False
-    c = np.array([0.0, 0.0, 0.0, -1.0])
-    A_ub = np.hstack([-np.asarray(normals, dtype=float), np.ones((m, 1))])
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(m),
-                  bounds=[(-1, 1)] * 3 + [(-2, 2)], method="highs")
-    return bool(res.success and res.x[3] > tol)
+    positive dot product with every incident outward face normal.
+
+    By Gordan's theorem such a direction exists exactly when the origin lies
+    outside the convex hull of the normals, and the unit w maximizing
+    min n . w points at the hull's nearest point to the origin.  That point
+    is the projection of the origin onto the affine hull of one, two or three
+    normals, so the projections onto every normal, pair and triple are the
+    candidates, and the best worst margin among them decides against ``tol``.
+    Degenerate pairs and triples are skipped: a coplanar, antipodal or
+    repeated set keeps its nearest point among the others.
+    """
+    n = np.asarray(normals, dtype=float).reshape(-1, 3)
+    a, b = (n[i] for i in np.triu_indices(len(n), 1))
+    d = b - a
+    dd = (d * d).sum(axis=1)
+    keep = dd > 1e-24
+    pairs = a[keep] - ((a * d).sum(axis=1)[keep] / dd[keep])[:, None] * d[keep]
+    triples = np.array(list(itertools.combinations(range(len(n)), 3)), dtype=int).reshape(-1, 3)
+    a, b, c = (n[i] for i in triples.T)
+    nu = np.cross(b - a, c - a)
+    nn = (nu * nu).sum(axis=1)
+    keep = nn > 1e-24
+    planes = ((a * nu).sum(axis=1)[keep] / nn[keep])[:, None] * nu[keep]
+    cand = np.vstack([n, pairs, planes])
+    norms = np.linalg.norm(cand, axis=1)
+    cand = cand[norms > 1e-12] / norms[norms > 1e-12, None]
+    return len(cand) > 0 and bool((n @ cand.T).min(axis=0).max() > tol)
 
 
 def _supporting_normal(gens: np.ndarray) -> Optional[np.ndarray]:

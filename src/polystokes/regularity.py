@@ -234,13 +234,23 @@ def vertex_findings(spec: ProblemSpec) -> Dict[int, StripFinding]:
         if spec.flags.lipschitz_graph and "R3" in finding.rules and \
                 not graph_direction_feasible(cone.normals):
             # the flag is honored (it is an assumption, never tested by the
-            # source results) but the heuristic disagreement is surfaced
+            # source results) but the heuristic disagreement is surfaced: in
+            # the finding, and as a note of every report (_unconfirmed_notes)
             finding = StripFinding(finding.vertex, finding.free, finding.exceptional,
-                                   finding.rules, finding.assumptions +
-                                   ("graph-direction heuristic could not confirm the "
-                                    "Lipschitz assumption at this vertex",))
+                                   finding.rules, finding.assumptions + (_UNCONFIRMED,))
         findings[v] = finding
     return findings
+
+
+_UNCONFIRMED = ("graph-direction heuristic could not confirm the Lipschitz assumption "
+                "at this vertex")
+
+
+def _unconfirmed_notes(spec: ProblemSpec) -> List[str]:
+    """A note per vertex whose asserted Lipschitz-graph flag the heuristic
+    could not confirm: a finding with a rule prints no assumptions."""
+    return ["vertex %d: %s" % (v, _UNCONFIRMED) for v, f in spec.findings.items()
+            if _UNCONFIRMED in f.assumptions]
 
 
 def _edge_exponent(spec: ProblemSpec, edge: Edge, rule: _Rule,
@@ -532,6 +542,7 @@ def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> Reg
         vertices_ok = vertices_ok and ok
         rep.citations.extend("vertex-rule:%s" % r for r in f.rules)
     rep.citations = sorted(set(rep.citations))
+    rep.notes.extend(_unconfirmed_notes(spec))
     if missing:
         any_unknown = True
         rep.notes.extend("assumption not asserted: %s" % m for m in missing)
@@ -641,6 +652,7 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
         rep.notes.append("some vertex strips are uncertified; supply override bounds")
     rep.notes.extend("s in %s is admissible too, below the reported interval" % p
                      for p in admissible if p is not best)
+    rep.notes.extend(_unconfirmed_notes(spec))
     rep.notes.extend("assumption not asserted: %s" % m for m in missing)
     rep.notes.append(
         "monotone closure: on a bounded domain the conclusion spaces include one "

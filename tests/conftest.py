@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from polystokes import fixtures as fx
+from polystokes.geometry import Polyhedron
 from polystokes.regularity import DataFlags, ProblemSpec
 
 # a longer search for the property tests: --hypothesis-profile=ci
@@ -21,6 +23,22 @@ def cube():
 @pytest.fixture(scope="session")
 def step():
     return fx.step_prism()
+
+
+@pytest.fixture(scope="session")
+def crossed_boxes():
+    """[0,2]x[0,1]x[0,1] united with [0,1]x[0,2]x[1,2].  The faces at its
+    vertex 8, (1,1,1), have the normals +x, +y, +z and -z, so no direction
+    is positive on all of them: the Lipschitz-graph heuristic fails there."""
+    vertices = [[0, 0, 0], [0, 0, 2], [0, 1, 0], [0, 1, 1], [0, 2, 1], [0, 2, 2], [1, 0, 1],
+                [1, 0, 2], [1, 1, 1], [1, 2, 1], [1, 2, 2], [2, 0, 0], [2, 0, 1], [2, 1, 0],
+                [2, 1, 1]]
+    loops = [(0, 2, 13, 11), (1, 7, 10, 5), (6, 12, 14, 8), (4, 9, 8, 3), (0, 1, 5, 4, 3, 2),
+             (11, 13, 14, 12), (6, 8, 9, 10, 7), (0, 11, 12, 6, 7, 1), (2, 3, 8, 14, 13),
+             (5, 10, 9, 4)]
+    poly = Polyhedron(np.array(vertices, dtype=float), loops, name="crossed boxes")
+    assert (len(poly.vertices), len(poly.edges), len(poly.faces)) == (15, 23, 10)
+    return poly
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,20 @@ def test_pencil_query_names_the_faulty_argument(theta, pair, ends, n):
             err.startswith("argument error: --theta ") and "is too small" in err), (argv, err)
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--bc", "0,1,2"], "--bc '0,1,2': expected two values separated by a comma, got 3"),
+    (["--bc", "x"], "--bc 'x': expected two values separated by a comma, got 1"),
+    (["--bc", "x,1"], "--bc 'x,1': invalid literal for int() with base 10: 'x'"),
+    (["--window", "0,2,3"], "--window '0,2,3': expected two values separated by a comma, got 3"),
+    (["--window", "a,b"], "--window 'a,b': could not convert string to float: 'a'"),
+    (["--theta", "1.2.3*pi"], "--theta '1.2.3*pi': could not convert string to float: '1.2.3'"),
+    (["--theta", "two pi"], "--theta 'two pi': cannot parse angle")])
+def test_pencil_argument_error_names_the_option(capsys, extra, message):
+    assert main(["pencil", "--theta", "1.3*pi", "--bc", "1,3"] + extra) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("argument error: " + message), err
+
+
 def test_pencil_lists_each_unresolved_value_once(capsys):
     # at this opening and size copies of 0.5 and 1.5 fail to reproduce under
     # refinement, several copies of each; three copies of 1 reproduce and a
@@ -319,7 +333,13 @@ _BAD_QUERIES = (
        (["--target", "c2", "--sigma", "1/0"], "--sigma: '1/0'")]
     # a nan tolerance would pass every mesh check
     + [(["--tol", tol], "tol must be a finite number >= 0, got %s" % shown)
-       for tol, shown in (("nan", "nan"), ("-1", "-1.0"), ("inf", "inf"))])
+       for tol, shown in (("nan", "nan"), ("-1", "-1.0"), ("inf", "inf"))]
+    # a misspelt assumption or target is refused, never dropped
+    + [(["--assume", assume], "--assume: unknown assumption 'lipshitz' (accepted: data, "
+        "compatibility, small-data, lipschitz)")
+       for assume in ("lipshitz", "data, lipshitz", "lipshitz,data,bogus")]
+    + [(["--target", "w1", "--target", "foo"],
+        "--target: unknown target 'foo' (accepted: w1, w2, c1, c2, exist)")])
 
 
 @pytest.mark.parametrize("extra,message", _BAD_QUERIES)
@@ -328,6 +348,54 @@ def test_analyze_bad_query_is_input_error(cube_file, capsys, extra, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("input error: ") and message in err
+
+
+def test_analyze_assumptions_are_stripped(cube_file, capsys):
+    # spaces around an entry do not matter, and an empty list asserts nothing
+    outs = []
+    for assume in ("data,lipschitz", " data , lipschitz ", "", ",", " "):
+        assert main(["analyze", "--input", cube_file, "--target", "w1",
+                     "--assume", assume, "--format", "json"]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0] == outs[1] and outs[2] == outs[3] == outs[4]
+    assert "assumption not asserted: data in the required spaces" not in outs[0]["w1"]["notes"]
+    assert "assumption not asserted: data in the required spaces" in outs[2]["w1"]["notes"]
+
+
+_UNCONFIRMED = ("vertex 8: graph-direction heuristic could not confirm the Lipschitz "
+                "assumption at this vertex")
+
+
+@pytest.fixture(scope="module")
+def crossed_boxes_file(tmp_path_factory, crossed_boxes):
+    path = tmp_path_factory.mktemp("domains") / "crossed-boxes.domain"
+    path.write_text(fx.domain_document(crossed_boxes, fx.with_conditions(crossed_boxes, 3)))
+    return str(path)
+
+
+def test_unconfirmed_lipschitz_vertex_is_noted(crossed_boxes_file, capsys):
+    # the flag is honored, so the verdicts stand, and every report names the
+    # vertex (1,1,1), where the heuristic cannot confirm it
+    argv = ["analyze", "--input", crossed_boxes_file, "--kind", "stokes",
+            "--assume", "data,compatibility,small-data,lipschitz"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "w1: holds  admissible s in (2, 3)" in out
+    assert "w2: holds  admissible s in (1, 1.37408)" in out
+    assert out.count("   note: %s\n" % _UNCONFIRMED) == 2
+    assert out.count("graph-direction") == 2
+    assert main(argv + ["--format", "json"]) == 0
+    scans = json.loads(capsys.readouterr().out)
+    checks = []
+    for extra in (["--target", "w1", "--target", "w2", "--s", "5/2"],
+                  ["--target", "c1", "--target", "c2", "--sigma", "1/4"]):
+        assert main(argv + extra + ["--format", "json"]) == 0
+        checks.append(json.loads(capsys.readouterr().out))
+    reports = [scans["w1"], scans["w2"], checks[0]["w1"], checks[0]["w2"],
+               checks[1]["c1"], checks[1]["c2"]]
+    assert [r["verdict"] for r in reports[:2]] == ["holds", "holds"]
+    for r in reports:
+        assert [n for n in r["notes"] if "graph-direction" in n] == [_UNCONFIRMED], r
 
 
 def test_analyze_sigma_is_exact_rational(cube_file, capsys):
@@ -457,14 +525,16 @@ def test_pencil_collocates_each_size_once(monkeypatch, capsys):
 
 
 # the ops of the lean start-up tests: the cube exterior's 3*pi/2 edges take
-# the real-root closed form, the lipschitz flag reaches the vertex rules, and
-# the all-slip tetrahedron's edges take the separated closed form of (2,2)
+# the real-root closed form, the lipschitz flag reaches the vertex rules, the
+# all-slip tetrahedron's edges take the separated closed form of (2,2), and
+# on the all-neumann cube the flag reaches R3 and the graph-direction check
 _LEAN_OPS = """
 import contextlib, io, json, sys
 from polystokes import cli, edge_pencil
 ops = [["analyze", "--input", sys.argv[1]],
        ["analyze", "--input", sys.argv[2], "--assume", "lipschitz"],
-       ["analyze", "--input", sys.argv[3], "--target", "w2", "--format", "json"]]
+       ["analyze", "--input", sys.argv[3], "--target", "w2", "--format", "json"],
+       ["analyze", "--input", sys.argv[5], "--assume", "lipschitz", "--kind", "stokes"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in ops]
 def scipy_modules():
@@ -485,22 +555,24 @@ def _fresh_interpreter(script, tmp_path):
     stress = tmp_path / "cube-tangential-stress.domain"
     stress.write_text(fx.domain_document(
         cube, BoundaryAssignment(tuple(3 if a == 1 else 1 for a in axis))))
+    neumann = tmp_path / "cube-neumann.domain"
+    neumann.write_text(fx.domain_document(cube, fx.with_conditions(cube, 3)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run(
         [sys.executable, "-c", _LEAN_OPS + script,
          os.path.join(root, "perfbench", "data", "cube-exterior.domain"), SHIPPED_CUBE, str(slip),
-         str(stress)],
+         str(stress), str(neumann)],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_analyze_on_closed_forms_loads_no_scipy(tmp_path):
-    # no edge of these domains takes the collocation solver, and no vertex
-    # of them the Lipschitz-graph linear program
+    # no edge of these domains takes the collocation solver, and the
+    # graph-direction check at the stress-only vertices is a closed form
     got = _fresh_interpreter('print(json.dumps({"codes": codes, "loaded": scipy_modules()}))',
                              tmp_path)
-    assert got == {"codes": [0, 0, 0], "loaded": []}
+    assert got == {"codes": [0, 0, 0, 0], "loaded": []}
 
 
 _NUMERIC_OPS = """
@@ -539,7 +611,6 @@ print(json.dumps({"codes": codes, "meshes": len(meshes), "loaded": scipy_modules
 
 
 def test_fixtures_and_verify_paper_load_no_scipy(tmp_path):
-    # the fixture solids are literal face tables, so only the Lipschitz-graph
-    # linear program is left to load scipy
+    # the fixture solids are literal face tables
     got = _fresh_interpreter(_FIXTURE_OPS, tmp_path)
-    assert got == {"codes": [0, 0, 0, 0], "meshes": 12, "loaded": []}
+    assert got == {"codes": [0, 0, 0, 0, 0], "meshes": 12, "loaded": []}

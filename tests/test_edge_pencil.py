@@ -555,6 +555,38 @@ def test_selection_needs_wide_window():
         mu_of_edge_point(0.5 * math.pi, 0, 0, spec)
 
 
+_HALF_PI, _THREE_HALVES_PI = 0.5 * math.pi, 1.5 * math.pi  # (0,0): lambda2 and lambda1 branch
+
+
+@pytest.mark.parametrize("theta,eigenvalues,window,message", [
+    (_HALF_PI, (1, 2), (0.1, 3.0), "window must start at or below 0"),
+    (_HALF_PI, (0, 5e-4), (0.0, 3.0), "no eigenvalue with positive real part"),
+    (_HALF_PI, (1, 1 + 0.5j, 1 - 0.5j, 2), (0.0, 3.0),
+     "eigenvalue with real part 1 other than 1 itself"),
+    (_HALF_PI, (1, 2), (0.0, 2.0), "second eigenvalue sits at the window edge"),
+    (_THREE_HALVES_PI, (0.9,), (0.0, 0.9), "first eigenvalue sits at the window edge")])
+def test_selection_refuses_an_uncertified_window(theta, eigenvalues, window, message):
+    # the reasons an edge exponent is reported unknown, on hand-built spectra
+    spec = ep.Spectrum(tuple(complex(z) for z in eigenvalues), (1,) * len(eigenvalues),
+                       window, 16)
+    with pytest.raises(WindowError, match=message):
+        mu_of_edge_point(theta, 0, 0, spec)
+
+
+def test_mu_numeric_widens_four_times_and_gives_up(monkeypatch):
+    windows = []
+
+    def empty(pencil, window, n):
+        windows.append(window)
+        return ep.Spectrum((), (), window, n)
+
+    monkeypatch.setattr(ep, "solve_spectrum", empty)
+    with pytest.raises(WindowError, match=r"^could not certify the edge exponent up to "
+                                          r"Re = 15\.73$"):
+        mu_numeric(_THREE_HALVES_PI, 0, 0)
+    assert windows == [(0.0, pytest.approx(2.4 * 1.6 ** k)) for k in range(4)]
+
+
 def test_mixed_slip_pair_above_third():
     mv = mu_numeric(1.4 * math.pi, 0, 2)
     assert mv.value > 1.0 / 3.0

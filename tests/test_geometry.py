@@ -500,3 +500,77 @@ def test_face_loops_are_planar_and_outward(name):
     for complement in (False, True):
         poly = Polyhedron(vertices, fx._FACES[name], complement=complement)
         assert len(poly.vertices) - len(poly.edges) + len(poly.faces) == 2
+
+
+# -- the Lipschitz-graph direction ------------------------------------------------
+
+def _lp_graph_direction(normals: np.ndarray, tol: float = 1e-9) -> bool:
+    """The linear program that decided the graph direction before the closed
+    form, kept as its reference: maximize t with n . w >= t for every normal
+    over the box |w_i| <= 1."""
+    from scipy.optimize import linprog
+    m = len(normals)
+    if m == 0:
+        return False
+    c = np.array([0.0, 0.0, 0.0, -1.0])
+    A_ub = np.hstack([-np.asarray(normals, dtype=float), np.ones((m, 1))])
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(m),
+                  bounds=[(-1, 1)] * 3 + [(-2, 2)], method="highs")
+    return bool(res.success and res.x[3] > tol)
+
+
+def _units(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _normal_set(kind: str, m: int, rng) -> np.ndarray:
+    """m unit normals of one kind; the degenerate kinds are the rank-deficient
+    sets the closed form meets without a branch of its own."""
+    x = _units(rng.normal(size=(m, 3)))
+    w = _units(rng.normal(size=3))
+    if kind == "hemisphere":  # about w, tilted out of it by up to 0.3
+        x[x @ w < 0] *= -1
+        return _units(x + rng.uniform(-0.3, 0.3) * w)
+    if kind == "coplanar":  # on a great circle
+        return _units(x - np.outer(x @ w, w))
+    if kind == "antipodal":
+        return np.vstack([x, -x[:1]])
+    if kind == "near-parallel":
+        return _units(w + 1e-6 * rng.normal(size=(m, 3)))
+    if kind == "duplicated":
+        return np.vstack([x, x[rng.integers(0, m, size=m)]])
+    if kind == "pyramid":  # the lateral faces of an apex over a regular polygon
+        phi = 2 * math.pi * np.arange(m) / m
+        tilt = rng.uniform(0.05, math.pi - 0.05)
+        return np.column_stack([np.sin(tilt) * np.cos(phi), np.sin(tilt) * np.sin(phi),
+                                np.full(m, np.cos(tilt))])
+    return x
+
+
+@given(kind=st.sampled_from(["random", "hemisphere", "coplanar", "antipodal",
+                             "near-parallel", "duplicated", "pyramid"]),
+       m=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_graph_direction_is_the_linear_program(kind, m, seed):
+    # a pyramid apex has 3 to 39 faces
+    m = 3 + 6 * (m - 1) if kind == "pyramid" else m
+    normals = _normal_set(kind, m, np.random.default_rng(seed))
+    assert geometry.graph_direction_feasible(normals) == _lp_graph_direction(normals), normals
+
+
+def test_graph_direction_of_the_empty_set():
+    assert not geometry.graph_direction_feasible(np.zeros((0, 3)))
+    assert not _lp_graph_direction(np.zeros((0, 3)))
+
+
+def test_graph_direction_at_every_fixture_and_domain_vertex(crossed_boxes):
+    polys = [fx.platonic(name, complement) for name in fx.PLATONIC_NAMES
+             for complement in (False, True)]
+    polys += [fx.slip_frustum(), fx.step_prism(), crossed_boxes]
+    polys += [load_polyhedron(path)[0] for path in DOMAINS]
+    got = [geometry.graph_direction_feasible(poly.vertex_cone(v).normals)
+           for poly in polys for v in range(len(poly.vertices))]
+    want = [_lp_graph_direction(poly.vertex_cone(v).normals)
+            for poly in polys for v in range(len(poly.vertices))]
+    assert got == want
+    # only the crossed boxes' vertex 8 has no graph direction
+    assert len(got) == 179 and got.count(False) == 1

@@ -264,6 +264,11 @@ def test_level_window_is_the_strip_condition():
                 for f in vertex_findings(spec).values()}
     findings = [StripFinding(0, free, exc) for free, exc in findings]
     findings.append(StripFinding(0, None))
+    # an exceptional eigenvalue on the energy line: nothing is free when the
+    # strip includes the line, and it does not matter when the strip leaves it out
+    findings += [StripFinding(0, Interval(F(-1), F(0), True, True), ((F(-1, 2), "on the line"),)),
+                 StripFinding(0, Interval(F(-1, 2), F(1), True, False),
+                              ((F(-1, 2), "on the line"), (F(1, 2), "inside")))]
     assert len(findings) >= 6
     levels = [F(k, 8) for k in range(-24, 25)] + [Eps(F(k, 2), j) for k in (-2, -1, 0, 2)
                                                   for j in (-1, 1)]
