@@ -222,13 +222,13 @@ def _two(read: Callable[[str], object]) -> Callable[[str], tuple]:
 
 def _cmd_pencil(args) -> int:
     try:
-        theta = _option("--theta", args.theta, parse_theta)
-        d_plus, d_minus = _option("--bc", args.bc, _two(int))
+        # the pencil checks each range; its errors name the option
+        theta = _option("--theta", args.theta, lambda t: DihedronPencil(parse_theta(t), 0, 0).theta)
+        pencil = _option("--bc", args.bc, lambda t: DihedronPencil(theta, *_two(int)(t)))
         lo, hi = _option("--window", args.window, _two(float))
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("--window %r is not a finite strip 'lo,hi' with lo < hi"
                              % args.window)
-        pencil = DihedronPencil(theta, d_plus, d_minus)
     except (ValueError, TypeError) as exc:
         print("argument error: %s" % exc, file=sys.stderr)
         return 1
@@ -244,7 +244,7 @@ def _cmd_pencil(args) -> int:
     rows = [{"re": ev.real, "im": ev.imag, "multiplicity": m, "residual": res}
             for ev, m, res in zip(spec.eigenvalues, spec.multiplicities, spec.residuals)]
     nu_note = "spectra are viscosity-independent (pressure rescaling); computed with nu=1"
-    out = {"theta": theta, "bc": [d_plus, d_minus], "window": [lo, hi],
+    out = {"theta": theta, "bc": [pencil.d_plus, pencil.d_minus], "window": [lo, hi],
            "n": args.n, "eigenvalues": rows,
            "unresolved": [[z.real, z.imag] for z in spec.unresolved],
            "viscosity_note": nu_note}
@@ -252,7 +252,7 @@ def _cmd_pencil(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
         print("pencil spectrum, theta=%.12g, conditions (%d, %d), strip [%g, %g], n=%d"
-              % (theta, d_plus, d_minus, lo, hi, args.n))
+              % (theta, pencil.d_plus, pencil.d_minus, lo, hi, args.n))
         print("(%s)" % nu_note)
         print("%-22s %-22s %-4s %s" % ("Re", "Im", "mult", "residual"))
         for r in rows:

@@ -16,8 +16,8 @@ strip, the floors as windows of s or of the shifted weights.  ``check`` tests
 the query's terms against them; ``max_s`` maps the same windows to s at zero
 weights and names the binding constraint.  ``decision_table`` reproduces the
 worked-example class results (classes of domains and condition patterns, with
-exact rational interval endpoints); a nonweighted vertex falls back to the
-widest matching table row when its strip alone cannot certify it.
+exact rational interval endpoints); a nonweighted vertex that no catalogue
+rule covers falls back to the widest matching table row.
 """
 
 from __future__ import annotations
@@ -311,17 +311,17 @@ class _Rule:
 
     ``kind`` fixes how the conditions read.  The 'sobolev' and 'existence'
     rows shift the edge weights by 2/s and the vertex weights by -3/s, and a
-    matching class row certifies their nonweighted vertices.  'holder' rows
-    centre both at sigma, need nonnegative edge weights off the resonances
-    k + sigma (k < order), and leave the vertex strip open at -1/2.
+    matching class row certifies their nonweighted vertices without a rule.
+    'holder' rows centre both at sigma, need nonnegative edge weights off the
+    resonances k + sigma (k < order), and leave the vertex strip open at -1/2.
 
     The edge condition is order - mu < weighted < order; 'sobolev' rows clamp
-    its lower end at 0 (the weighted quantity is positive) and say when a
-    class bound could not certify an edge.  The 'existence' row reads the
-    window 1 - Re(lambda1) < weighted < 1 + Re(lambda1) instead, strict at
-    both ends because the first-eigenvalue bounds may be attained; it needs
-    a velocity-prescribed face at every edge, and it is the one row that does
-    not name a guaranteed eigenvalue as the reason a vertex fails.
+    its lower end at 0 (the weighted quantity is positive).  The 'existence'
+    row reads the window 1 - Re(lambda1) < weighted < 1 + Re(lambda1)
+    instead, strict at both ends because the first-eigenvalue bounds may be
+    attained; it needs a velocity-prescribed face at every edge, and it is
+    the one row that does not name a guaranteed eigenvalue as the reason a
+    vertex fails.
     """
 
     target: str
@@ -379,6 +379,8 @@ _RULES = {rule.target: rule for rule in (
 # same windows to s at zero weights through ``_s_window``.
 
 _NOWHERE = Interval(Fraction(1), Fraction(1))
+# no class bound limits it: its window holds every value a sharper exponent could reach
+_UNBOUNDED = MuValue(INF, "class-bound", "lambda1", True, bound=INF)
 
 
 def _flags(rule: _Rule, spec: ProblemSpec) -> List[Tuple[str, bool]]:
@@ -424,10 +426,11 @@ def _level_window(finding: StripFinding, anchor_closed: bool) -> Interval:
 
 
 def _row_fallback(spec: ProblemSpec, target: str) -> Optional[DecisionRow]:
-    """The matching class row with the widest upper end.  The rows of one
-    target share their lower end, so it contains every other matching row."""
-    return max(matching_rows(spec, target),
-               key=lambda row: row.interval.hi_key, default=None)
+    """The matching class row with the widest upper end, if some vertex has
+    no rule; the rows of one target share their lower end, so it contains
+    every other matching row."""
+    rows = matching_rows(spec, target) if any(f.unknown for f in spec.findings.values()) else ()
+    return max(rows, key=lambda row: row.interval.hi_key, default=None)
 
 
 def _quotient(k: int, q, up: bool):
@@ -512,15 +515,17 @@ def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> Reg
         ok = _edge_window(rule, mu).contains(weighted)
         rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance,
                                    rule.edge_requirement % weighted, ok))
-        if not ok and mu.is_lower_bound and rule.kind == "sobolev":
+        if not ok and mu.is_lower_bound and _edge_window(rule, _UNBOUNDED).contains(weighted):
+            # a larger exponent would meet the window: the bound certifies nothing
+            any_unknown = True
             rep.notes.append("edge %d: the guaranteed exponent bound could not certify "
                              "the condition; a numeric pencil solve may sharpen it" % e.id)
-        edges_ok = edges_ok and ok
+        else:
+            edges_ok = edges_ok and ok
     # vertices: no eigenvalues in the strip between -1/2 and the level line
     findings = spec.findings
     guaranteed = known_exceptional(spec.bc.values())
-    row = _row_fallback(spec, rule.target) \
-        if not holder and query.is_nonweighted() else None
+    row = _row_fallback(spec, rule.target) if not holder and query.is_nonweighted() else None
     vertices_ok, definite_fail = True, False
     for v, b in enumerate(betas):
         f = findings[v]
@@ -529,7 +534,7 @@ def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> Reg
         target = _strip_for(level, anchor_closed=not holder)
         ok = _level_window(f, not holder).contains(level)
         why = strip_condition_holds(f, target)[1]  # the explanation of that verdict
-        if not ok and row is not None and row.interval.contains(query.s):
+        if not ok and f.unknown and row is not None and row.interval.contains(query.s):
             ok, why = True, "class result %s: admissible interval %s" % (row.row_id, row.interval)
             rep.citations.append("class:%s" % row.row_id)
         if not ok and any(target.contains(g) for g in guaranteed):
@@ -560,9 +565,8 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
     target, with the binding constraint named.
 
     The constraints are the windows ``check`` tests, read at zero weights; a
-    vertex admits the s its strip certifies and those of the widest matching
-    class row.  When they leave several intervals, the one reaching furthest
-    up is reported and the others are named in a note.
+    vertex admits the s its strip certifies, or, when no rule covers it,
+    those of the widest matching class row.
     """
     if target not in ("W1", "W2", "EXIST"):
         raise ValueError("max_s supports W1, W2 and EXIST")
@@ -571,8 +575,8 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
     if existence:
         _require_velocity_edges(spec)
     rep = RegularityReport(target, "holds")
-    # (admissible pieces, label of the lower end, label of the upper end)
-    constraints: List[Tuple[List[Interval], str, str]] = []
+    # (admissible s, label of the lower end, label of the upper end)
+    constraints: List[Tuple[Interval, str, str]] = []
     for floor in rule.floors:
         if floor.nonlinear_only and spec.kind != "navier-stokes":
             continue
@@ -580,7 +584,7 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
             rep.notes.append(floor.scan)
         label = floor.scan or floor.note.format("*")
         iv = floor.window if floor.scope == "s" else _s_window(floor.window, 0, 3)
-        constraints.append(([iv], label, label))
+        constraints.append((iv, label, label))
     uncertified_edges = False
     windows: Dict[MuValue, Interval] = {}  # the edges of one wedge share a window
     for e in spec.poly.edges:
@@ -597,14 +601,14 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
             rep.notes.append("edge %d: %s; the interval ignores this edge" % (e.id, why))
             if not existence:
-                constraints.append(([_s_window(_below(rule.order), 0, 2)], lo_label, label))
+                constraints.append((_s_window(_below(rule.order), 0, 2), lo_label, label))
             continue
         if mu.is_lower_bound and not existence:
             label = "edge %d via guaranteed bound mu > %s" % (e.id, mu.bound)
         rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, req, True))
         if mu not in windows:
             windows[mu] = _s_window(_edge_window(rule, mu), 0, 2)
-        constraints.append(([windows[mu]], lo_label, label))
+        constraints.append((windows[mu], lo_label, label))
     conditional = False
     row = _row_fallback(spec, target)  # every row max_s scans has the class-row fallback
     for v, f in spec.findings.items():
@@ -613,32 +617,20 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
             rep.vertices.append(VertexCheck(v, f.describe(), "-", False,
                                             "no rule; interval conditional on overrides"))
             continue
-        iv = _s_window(_level_window(f, True), rule.order, -3)
-        label = "vertex %d (no rule)" % v if f.unknown else "vertex %d strip %s" % (v, f.free)
-        pieces = [iv]
-        if row is not None:
-            merged = iv.union(row.interval)
-            pieces = [merged] if merged is not None else sorted(
-                (p for p in (iv, row.interval) if not p.is_empty()), key=lambda p: p.lo)
-            label += " widened by class result %s" % row.row_id
+        if f.unknown:
+            iv, label = row.interval, "vertex %d (no rule) by class result %s" % (v, row.row_id)
             rep.citations.append("class:%s" % row.row_id)
-        rep.vertices.append(VertexCheck(v, f.describe(), " or ".join(map(str, pieces)),
-                                        True, label))
-        constraints.append((pieces, label, label))
-    admissible = []  # only needed, and only computed, when some vertex has two pieces
-    if any(len(pieces) > 1 for pieces, _, _ in constraints):
-        admissible = [_EVERYTHING]
-        for pieces, _, _ in constraints:
-            admissible = [p for p in (a.intersect(q) for a in admissible for q in pieces)
-                          if not p.is_empty()]
-    best = max(admissible, key=lambda p: p.hi_key, default=None)
-    # name the ends of the reported piece by the constraints that set them
+        else:
+            iv = _s_window(_level_window(f, True), rule.order, -3)
+            label = "vertex %d strip %s" % (v, f.free)
+        rep.vertices.append(VertexCheck(v, f.describe(), str(iv), True, label))
+        constraints.append((iv, label, label))
+    # name the ends of the interval by the constraints that set them
     result = _EVERYTHING
     binding_lo = binding_hi = "none"
-    for pieces, lo_label, hi_label in constraints:
-        part = pieces[-1] if best is None else next(p for p in pieces if p.contains_interval(best))
+    for iv, lo_label, hi_label in constraints:
         before = result
-        result = result.intersect(part)
+        result = result.intersect(iv)
         if result.hi_key != before.hi_key:
             binding_hi = hi_label
         if result.lo_key != before.lo_key:
@@ -650,8 +642,6 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
         or result.is_empty() else "holds"
     if conditional:
         rep.notes.append("some vertex strips are uncertified; supply override bounds")
-    rep.notes.extend("s in %s is admissible too, below the reported interval" % p
-                     for p in admissible if p is not best)
     rep.notes.extend(_unconfirmed_notes(spec))
     rep.notes.extend("assumption not asserted: %s" % m for m in missing)
     rep.notes.append(

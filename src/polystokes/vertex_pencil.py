@@ -7,29 +7,33 @@ applied, keyed on the boundary-condition pattern and cone predicates, plus a
 user-supplied numeric-bound escape hatch justified by the monotonicity of the
 eigenvalues with respect to cone inclusion.
 
+The spectra are symmetric about the energy line, lambda <-> -1 - conj(lambda)
+(Kozlov, Maz'ya & Rossmann, AMS 2001, on the Stokes system in a cone): each
+strip quoted from -1/2 up is stated whole, exceptional values with their mirrors.
+
 Rules (applied by specificity; compatible findings are merged into one strip):
 
-R1  velocity prescribed on every incident face: [-1/2, 0] free.
-R2  as R1, cone contained in a half-space: [-1/2, 1) free; the simple
-    eigenvalue 1 (constant-pressure eigenvector, no generalized ones) sits at
-    the open end.
+R1  velocity prescribed on every incident face: [-1, 0] free.
+R2  as R1, cone contained in a half-space: (-2, 1) free; the simple
+    eigenvalue 1 (constant-pressure eigenvector, no generalized ones) and
+    its mirror -2 sit at the open ends.
 R3  stress prescribed on every incident face, Lipschitz-graph polyhedron:
-    [-1, 0] with the exceptional eigenvalues 0 and 1 as stated (1 lies
-    outside the quoted strip; kept verbatim and flagged in reports).
+    [-1, 0] with the exceptional eigenvalues 0 and 1 as stated and their
+    mirrors -1 and -2 (1 and -2 lie outside the strip; flagged in reports).
 R4  conditions of index <= 2 only, at least two distinct indices, and the
     velocity prescribed on one side of every incident edge: [-1, 0] free.
 R5  convex polyhedron, velocity everywhere except one slip face whose edges
-    open below pi/2: [-1/2, 1] containing only the simple eigenvalue 1.
-R6  user bound b > -1/2 on the smallest eigenvalue: extend the strip to
-    [-1/2, b).
+    open below pi/2: [-2, 1] containing only the simple eigenvalues 1, -2.
+R6  user bound b > -1/2 on the spectrum above -1/2: (-1 - b, b) free.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .geometry import VertexBound, VertexCone
 from .spaces import Eps
@@ -198,18 +202,29 @@ def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
                             + (override.note or "unattributed"),)))
     if not candidates:
         return StripFinding(cone.vertex, None, (), (), tuple(notes))
-    # order by catalogue number, merge all strips, keep every exceptional value
+    # order by catalogue number, merge all strips and exceptional values, mirror both
     candidates.sort(key=lambda c: c[0])
-    free = candidates[0][1]
-    for _, strip, _, _ in candidates[1:]:
-        free = free.union(strip) or free  # a disjoint strip keeps the primary one
-    exceptional: Dict[Fraction, str] = {}
-    for _, _, exc, _ in candidates:
-        for v, note in exc:
-            exceptional.setdefault(v, note)
+    free = functools.reduce(Interval.union, (c[1] for c in candidates))  # all contain -1/2
+    free, exceptional = _symmetric(free, [e for c in candidates for e in c[2]])
     rules = tuple(c[0] for c in candidates)
     assumptions = tuple(dict.fromkeys(a for c in candidates for a in c[3])) + tuple(notes)
-    return StripFinding(cone.vertex, free, tuple(sorted(exceptional.items())), rules, assumptions)
+    return StripFinding(cone.vertex, free, exceptional, rules, assumptions)
+
+
+def _symmetric(strip: Optional[Interval], exceptional: Sequence[Tuple[Fraction, str]]):
+    """``strip`` (containing -1/2) and (value, note) pairs, closed under -1 - conj(lambda)."""
+    def mirror(x):  # a float (an R6 bound) rounds toward the energy line
+        if not isinstance(x, float):
+            return -1 - x
+        m, exact = -1 - x, -1 - Fraction(x)
+        return math.nextafter(m, -0.5) if (Fraction(m) - exact) * (exact - _ENERGY_LINE) > 0 else m
+    if strip is not None:
+        strip = strip.union(Interval(mirror(strip.hi), mirror(strip.lo),
+                                     strip.hi_closed, strip.lo_closed))
+    values = dict(exceptional)
+    for v, _ in exceptional:
+        values.setdefault(mirror(v), "mirror of %s" % v)
+    return strip, tuple(sorted(values.items()))
 
 
 def strip_condition_holds(finding: StripFinding, target: Interval) -> Tuple[bool, str]:
@@ -232,16 +247,9 @@ def strip_condition_holds(finding: StripFinding, target: Interval) -> Tuple[bool
 
 
 def known_exceptional(all_d: Sequence[int]) -> Tuple[Fraction, ...]:
-    """Eigenvalues every vertex pencil of the configuration must contain.
-
-    With only velocity/slip conditions (indices 0 and 2) the spectra contain
-    1 (eigenvector: zero velocity, constant pressure) and -2; with stress
-    conditions everywhere they contain 0 and 1.  Nothing is guaranteed once a
-    tangential-velocity face is present.
-    """
+    """Eigenvalues every vertex pencil of the configuration must contain, with mirrors:
+    1 (zero velocity, constant pressure) with velocity/slip conditions only (0 and 2),
+    0 (rigid motions) and 1 with stress everywhere, none with a tangential-velocity face."""
     ds = set(all_d)
-    if ds <= {0, 2}:
-        return (Fraction(1), Fraction(-2))
-    if ds == {3}:
-        return (Fraction(0), Fraction(1))
-    return ()
+    values = (1,) if ds <= {0, 2} else (0, 1) if ds == {3} else ()
+    return tuple(v for v, _ in _symmetric(None, [(Fraction(v), "") for v in values])[1])

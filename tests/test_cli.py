@@ -141,7 +141,9 @@ def test_pencil_query_names_the_faulty_argument(theta, pair, ends, n):
     (["--window", "0,2,3"], "--window '0,2,3': expected two values separated by a comma, got 3"),
     (["--window", "a,b"], "--window 'a,b': could not convert string to float: 'a'"),
     (["--theta", "1.2.3*pi"], "--theta '1.2.3*pi': could not convert string to float: '1.2.3'"),
-    (["--theta", "two pi"], "--theta 'two pi': cannot parse angle")])
+    (["--theta", "two pi"], "--theta 'two pi': cannot parse angle"),
+    (["--theta", "7"], "--theta '7': theta must lie in (0, 2*pi), got 7.0"),
+    (["--bc", "5,0"], "--bc '5,0': condition index must be 0..3, got 5")])
 def test_pencil_argument_error_names_the_option(capsys, extra, message):
     assert main(["pencil", "--theta", "1.3*pi", "--bc", "1,3"] + extra) == 1
     out, err = capsys.readouterr()

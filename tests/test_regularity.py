@@ -10,13 +10,14 @@ import pytest
 
 from polystokes import fixtures as fx
 from polystokes.edge_pencil import MuValue
-from polystokes.geometry import BoundaryAssignment, load_polyhedron
-from polystokes.regularity import (DataFlags, Interval, ProblemSpec,
-                                   RegularityQuery, RegularityReport, check,
+from polystokes.geometry import BoundaryAssignment, VertexCone, load_polyhedron
+from polystokes.regularity import (_RULES, DataFlags, Interval, ProblemSpec,
+                                   RegularityQuery, RegularityReport, _edge_window,
+                                   _level_window, _s_window, check,
                                    decision_table, matching_rows, max_s,
                                    vertex_findings)
 from polystokes.spaces import Eps, as_eps
-from polystokes.vertex_pencil import INF
+from polystokes.vertex_pencil import INF, eigenfree_strip
 
 from conftest import ALL_FLAGS
 from test_golden_reports import library_specs
@@ -79,9 +80,16 @@ def test_convex_second_order(cube_dirichlet):
 
 def test_mixed_velocity_stress_second_order(cube_neumann_top):
     assert check(cube_neumann_top, RegularityQuery("W2", s=F(8, 7))).verdict == "holds"
+    # the (0,3) edges miss the window on their class bound 1/4 alone: a
+    # larger exponent would meet it, so nothing is certified either way
     rep = check(cube_neumann_top, RegularityQuery("W2", s=F(5, 4)))
-    assert rep.verdict == "fails"
+    assert rep.verdict == "unknown"
     assert any("numeric pencil solve may sharpen" in n for n in rep.notes)
+    # at the upper end of the window no exponent helps, and no note blames
+    # the bound: W1 at s = 2 puts 2/s = 1 on that end
+    rep = check(cube_neumann_top, RegularityQuery("W1", s=F(2)))
+    assert rep.verdict == "fails"
+    assert not any("numeric pencil solve may sharpen" in n for n in rep.notes)
 
 
 # -- Holder checks ---------------------------------------------------------------
@@ -135,12 +143,15 @@ def test_existence_velocity_everywhere(cube_dirichlet):
     assert check(cube_dirichlet, RegularityQuery("EXIST", s=F(7, 5))).verdict == "fails"
 
 
-def test_existence_mixed_fails_at_three(step_slip):
+def test_existence_mixed_unknown_at_three(step_slip):
     assert check(step_slip, RegularityQuery("EXIST", s=F(29, 10))).verdict == "holds"
+    # at s = 3 only the class bound 1/3 of the changed edges misses the
+    # window, which a larger first eigenvalue widens at both ends
     rep = check(step_slip, RegularityQuery("EXIST", s=F(3)))
-    assert rep.verdict == "fails"
+    assert rep.verdict == "unknown"
     bad = [e for e in rep.edges if not e.satisfied]
     assert bad and all(abs(e.mu - 1 / 3) < 1e-12 for e in bad)
+    assert sum("could not certify" in n for n in rep.notes) == len(bad)
 
 
 def test_existence_requires_velocity_adjacency(cube):
@@ -298,15 +309,15 @@ def test_mixed_stress_domain_second_order_scan():
     assert w2.s_interval == Interval(F(1), F(8, 7), False, True)
 
 
-def test_mixed_stress_domain_scans_start_at_an_exact_two():
-    # the EXIST scan starts where the level 1 - 3/s meets the energy line
-    # -1/2: at the rational 2, closed, written as W1 writes its open 2
+def test_mixed_stress_domain_scans_start_at_exact_rationals():
+    # the EXIST scan starts at the window around the first eigenvalue, open
+    # at 8/5, and W1 at its weight window, open at 2: both exact rationals
     poly, bc, bounds = load_polyhedron(os.path.join(DOMAINS, "cube-mixed-stress.domain"))
     spec = ProblemSpec(poly, bc, ALL_FLAGS, vertex_bounds=bounds)
     exist, w1 = max_s(spec, "EXIST").s_interval, max_s(spec, "W1").s_interval
-    assert exist.lo_key == (F(2), 0) and type(exist.lo) is F
+    assert exist.lo_key == (F(8, 5), 1) and type(exist.lo) is F
     assert w1.lo_key == (F(2), 1) and type(w1.lo) is F
-    assert exist.to_dict()["lo"] == w1.to_dict()["lo"] == [2, 1]
+    assert exist.to_dict()["lo"] == [8, 5] and w1.to_dict()["lo"] == [2, 1]
 
 
 def test_tangential_velocity_top_holds_at_the_closed_end(cube):
@@ -330,22 +341,24 @@ def test_scans_echo_missing_flags_only(cube):
         assert not any("assumption" in n for n in scan.notes)
 
 
-def test_right_angled_slip_wall_admits_two_pieces(step):
+def test_right_angled_slip_wall_scans_one_piece(step):
     spec = ProblemSpec(step, fx.with_conditions(step, 0, {2: 2}), ALL_FLAGS)
 
     def holds(s):
         return check(spec, RegularityQuery("W2", s=s)).verdict == "holds"
 
-    # the class row (1, 8/7] below, the vertex strips from 6/5 (where the
-    # level 2 - 3/s reaches -1/2) up to the reentrant edge
-    assert holds(F(11, 10)) and holds(F(8, 7)) and holds(F(6, 5)) and holds(F(137, 100))
-    assert not holds(F(7, 6)) and not holds(F(138, 100))
+    # every vertex has a rule, and the mirrored strips certify the levels
+    # 2 - 3/s below -1/2 too: one interval from 1 up to the reentrant edge,
+    # and no class row is cited
+    assert all(holds(s) for s in (F(11, 10), F(8, 7), F(7, 6), F(6, 5), F(137, 100)))
+    assert not holds(F(138, 100))
     w2 = max_s(spec, "W2")
     assert w2.verdict == "holds"
     iv = w2.s_interval
-    assert iv.lo == F(6, 5) and iv.lo_closed and not iv.hi_closed
+    assert iv.lo == F(1) and not iv.lo_closed and not iv.hi_closed
     assert float(iv.hi) == pytest.approx(1.37408, abs=1e-5)
-    assert "s in (1, 8/7] is admissible too, below the reported interval" in w2.notes
+    assert not any("admissible too" in n for n in w2.notes)
+    assert not any(c.startswith("class:") for c in w2.citations)
 
 
 def test_verdict_monotone_in_mu(step_dirichlet, monkeypatch):
@@ -575,6 +588,42 @@ def test_table_pinned_intervals():
         assert table[row_id].interval == iv, row_id
 
 
+# each class row's premises: the class bound of its edges, and the catalogue
+# rule whose strip its vertices are sure to have
+ROW_PREMISES = {
+    "velocity-any-W1": (F(1, 2), "R1"),
+    "velocity-convex-W1": (F(1), "R2"),
+    "velocity-any-W2": (F(1, 2), "R1"),
+    "velocity-any-W2-narrow": (F(2, 3), "R1"),
+    "velocity-convex-W2": (F(1), "R2"),
+    "velocity-convex-W2-narrow": (F(4, 3), "R2"),
+    "stress-lipschitz-W1": (F(1, 2), "R3"),
+    "stress-lipschitz-W2": (F(1, 2), "R3"),
+    "stress-lipschitz-W2-narrow": (F(2, 3), "R3"),
+    "no-stress-mixed-W1": (F(1, 4), "R4"),
+    "no-stress-mixed-W1-narrow": (F(1, 3), "R4"),
+    "no-stress-mixed-W2": (F(1, 4), "R4"),
+    "no-stress-mixed-W2-narrow": (F(2, 3), "R4"),
+    "slip-one-face-W2": (F(1), "R5"),
+    "slip-one-face-W2-narrow": (F(4, 3), "R5"),
+    "existence-velocity": (F(1, 3), "R1"),
+    "existence-no-stress-mixed": (F(1, 3), "R4"),
+}
+
+
+def _catalogue_finding(rule):
+    """The catalogue's finding at a vertex where ``rule`` applies: three
+    faces, and the slip vertex of R5 carries R4 as well."""
+    incident, kw = {"R1": ([0, 0, 0], {}), "R2": ([0, 0, 0], {}),
+                    "R3": ([3, 3, 3], {"lipschitz_graph": True}),
+                    "R4": ([0, 1, 0], {}), "R5": ([0, 2, 0], {"slip_class": True})}[rule]
+    pairs = list(zip(incident, incident[1:] + incident[:1]))
+    cone = VertexCone(0, np.zeros((3, 3)), rule in ("R2", "R5"))
+    finding = eigenfree_strip(cone, incident, pairs, **kw)
+    assert rule in finding.rules
+    return finding
+
+
 def test_table_upper_endpoints_rederived():
     # independent class-bound arithmetic: the edge constraint 2/s >= order - b
     # (closed, since the exponents strictly exceed the class bound b) against
@@ -597,6 +646,45 @@ def test_table_upper_endpoints_rederived():
     b = F(1, 3)
     assert table["existence-velocity"].interval == \
         Interval(F(2) / (1 + b), F(2) / (1 - b), False, False)
+    # both ends of every row with a catalogue strip, from its class edge bound
+    # and the whole (mirrored) strip of its vertices, through the windows the
+    # scan reads; the {0,3} corners have no rule, so their row is typed in
+    derived = set()
+    for row_id, (bound, strip_rule) in ROW_PREMISES.items():
+        row = table[row_id]
+        rule = _RULES[row.target]
+        iv = _s_window(_edge_window(rule, MuValue(float(bound), "class-bound", "lambda1",
+                                                  True, bound=bound)), 0, 2)
+        iv = iv.intersect(_s_window(_level_window(_catalogue_finding(strip_rule), True),
+                                    rule.order, -3))
+        for floor in rule.floors:
+            iv = iv.intersect(floor.window if floor.scope == "s"
+                              else _s_window(floor.window, 0, 3))
+        assert iv == row.interval, (row_id, str(iv), str(row.interval))
+        derived.add(row_id)
+    assert set(table) - derived == {"velocity-stress-W2"}
+
+
+def test_class_rows_serve_only_vertices_without_a_rule():
+    # a report cites a class row only for a vertex whose finding has no rule
+    cited = 0
+    for name, spec in _agreement_specs().items():
+        reports = []
+        for target in ("W1", "W2", "EXIST"):
+            calls = [(max_s, target)] + [(check, RegularityQuery(target, s=s))
+                                         for s in (F(11, 10), F(8, 7), F(3, 2), F(5, 2))]
+            for fn, arg in calls:
+                try:
+                    reports.append(fn(spec, arg))
+                except ValueError:
+                    pass  # the existence result needs a velocity face on every edge
+        for rep in reports:
+            by_class = [v.vertex for v in rep.vertices if "class result" in v.justification]
+            assert all(spec.findings[v].unknown for v in by_class), (name, rep.target)
+            assert bool(by_class) == any(c.startswith("class:") for c in rep.citations), \
+                (name, rep.target)
+            cited += bool(by_class)
+    assert cited > 0
 
 
 def test_matching_rows(cube_dirichlet, step_dirichlet, cube_neumann_top):

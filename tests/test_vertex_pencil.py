@@ -1,9 +1,13 @@
+import math
 from fractions import Fraction
+from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polystokes import fixtures as fx
-from polystokes.geometry import VertexBound
+from polystokes.geometry import VertexBound, VertexCone
 from polystokes.vertex_pencil import (Interval, StripFinding, eigenfree_strip,
                                       known_exceptional, strip_condition_holds)
 
@@ -18,15 +22,15 @@ def _finding(poly, bc, v, override=None, **kw):
 def test_cube_corner_all_dirichlet(cube):
     f = _finding(cube, fx.with_conditions(cube, 0), 0)
     assert "R2" in f.rules
-    assert f.free.lo == -0.5 and f.free.hi == 1.0 and not f.free.hi_closed
-    assert any(v == 1.0 for v, _ in f.exceptional)
+    assert f.free == Interval(F(-2), F(1), False, False)
+    assert {v for v, _ in f.exceptional} == {-2, 1}
 
 
 def test_exterior_corner_falls_back_to_generic():
     ext = fx.cube(complement=True)
     f = _finding(ext, fx.with_conditions(ext, 0), 0)
     assert f.rules == ("R1",)
-    assert (f.free.lo, f.free.hi) == (-0.5, 0.0)
+    assert f.free == Interval(F(-1), F(0), True, True)
 
 
 def test_dirichlet_neumann_vertex_unknown(cube):
@@ -44,7 +48,7 @@ def test_all_neumann_needs_lipschitz(cube):
     f = _finding(cube, bc, 0, lipschitz_graph=True)
     assert f.rules == ("R3",)
     assert (f.free.lo, f.free.hi) == (-1.0, 0.0)
-    assert {v for v, _ in f.exceptional} == {0.0, 1.0}
+    assert {v for v, _ in f.exceptional} == {-2, -1, 0, 1}
 
 
 def test_mixed_no_stress_gets_wide_strip(cube):
@@ -60,8 +64,8 @@ def test_override_extends_strip(cube):
     f = _finding(ext, fx.with_conditions(ext, 0), 0,
                  override=VertexBound(0.317, "external table"))
     assert "R6" in f.rules
-    assert f.free.hi == pytest.approx(0.317)
-    assert not f.free.hi_closed
+    assert f.free.hi == pytest.approx(0.317) and f.free.lo == pytest.approx(-1.317)
+    assert not f.free.hi_closed and not f.free.lo_closed
 
 
 def test_override_must_exceed_energy_line():
@@ -76,8 +80,8 @@ def test_slip_class_rule():
                     if fx.top_face(fr) in fr.incident_faces(v)]
     f = _finding(fr, bc, top_vertices[0], slip_class=True)
     assert "R5" in f.rules
-    assert f.free.hi == 1.0 and f.free.hi_closed
-    assert any(v == 1.0 for v, _ in f.exceptional)
+    assert f.free == Interval(F(-2), F(1), True, True)
+    assert {v for v, _ in f.exceptional} == {-2, 1}
 
 
 # -- strip containment ------------------------------------------------------------
@@ -132,8 +136,8 @@ def test_condition_monotone_in_target(cube):
 
 
 def test_known_exceptional_catalogue():
-    assert known_exceptional([0, 0, 2, 0]) == (1.0, -2.0)
-    assert known_exceptional([3, 3, 3]) == (0.0, 1.0)
+    assert known_exceptional([0, 0, 2, 0]) == (-2, 1)
+    assert known_exceptional([3, 3, 3]) == (-2, -1, 0, 1)
     assert known_exceptional([0, 1, 0]) == ()
 
 
@@ -158,6 +162,39 @@ def test_catalogue_is_exact(cube):
         values = [f.free.lo, f.free.hi] + [v for v, _ in f.exceptional]
         assert all(type(x) is Fraction for x in values), (rule, values)
         assert "-0.5" not in f.describe()
-    assert str(findings["R2"].free) == "[-1/2, 1)"
+    assert str(findings["R2"].free) == "(-2, 1)"
     for pattern in ([0], [0, 2], [3], [1, 0]):
         assert all(type(x) is Fraction for x in known_exceptional(pattern))
+
+
+@given(incident=st.lists(st.integers(0, 3), min_size=3, max_size=6),
+       half_space=st.booleans(), lipschitz_graph=st.booleans(), slip_class=st.booleans(),
+       bound=st.none() | st.floats(-0.5, 1e6, exclude_min=True))
+@settings(deadline=None)
+def test_mirror_property(incident, half_space, lipschitz_graph, slip_class, bound):
+    # the vertex spectra are symmetric about the energy line: every finding
+    # and every guaranteed set is closed under lambda -> -1 - lambda, with
+    # exact ends save the R6 user bound and its mirror
+    pairs = list(zip(incident, incident[1:] + incident[:1]))
+    cone = VertexCone(0, np.zeros((len(incident), 3)), half_space)
+    override = None if bound is None else VertexBound(bound)
+    f = eigenfree_strip(cone, incident, pairs, override,
+                        lipschitz_graph=lipschitz_graph, slip_class=slip_class)
+    if not f.unknown:
+        lo, hi = f.free.lo, f.free.hi
+        assert f.free.contains(F(-1, 2)) and type(lo) in (Fraction, float)
+        if type(hi) is Fraction:
+            assert type(lo) is Fraction and lo == -1 - hi
+            assert f.free.lo_closed == f.free.hi_closed
+        else:
+            # the R6 bound; its mirror rounds toward the energy line, by less
+            # than a unit in the last place
+            assert hi == bound
+            gap = Fraction(lo) - (-1 - Fraction(hi))
+            assert 0 <= gap <= Fraction(math.ulp(-1 - hi)), (lo, hi)
+    values = [v for v, _ in f.exceptional]
+    assert sorted(-1 - v for v in values) == values
+    assert all(type(v) is Fraction for v in values)
+    guaranteed = known_exceptional(incident)
+    assert sorted(-1 - v for v in guaranteed) == sorted(guaranteed)
+    assert all(type(v) is Fraction for v in guaranteed)
