@@ -37,21 +37,23 @@ factors of the transcendental equation; Kozlov, Maz'ya & Rossmann, AMS
 u_z or neither does.  The solver works on the diagonal blocks and halves
 separately.
 
-Everything here needs numpy alone: the collocation solver's LAPACK calls
-are numpy's ``eigvals``, ``svd`` and ``solve``, behind the module attributes
-``eig``, ``svdvals`` and ``solve``.
+The closed forms, the class bounds and the real-root bracketing run on the
+standard library.  Only the collocation solver needs numpy, and its
+functions import it where they first use it, so an ``analyze`` whose edges
+all take a closed form or a class bound never loads numpy.  The solver's
+LAPACK calls are numpy's ``eigvals``, ``svd`` and ``solve``, behind the
+module attributes ``eig``, ``svdvals`` and ``solve``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import MU_THRESHOLD_TWO_THIRDS, special_opening
 
@@ -72,22 +74,28 @@ __all__ = [
     "MU_THRESHOLD_TWO_THIRDS",
 ]
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 # the collocation solver's LAPACK routines, all of them numpy's: module
 # attributes, so that a caller can wrap or replace them
 
 def eig(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of the square matrix ``a``."""
+    import numpy as np
     return np.linalg.eigvals(a)
 
 
 def svdvals(a: np.ndarray) -> np.ndarray:
     """Singular values of ``a``, largest first."""
+    import numpy as np
     return np.linalg.svd(a, compute_uv=False)
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` by LU; an exactly zero pivot raises ``np.linalg.LinAlgError``."""
+    import numpy as np
     return np.linalg.solve(a, b)
 
 
@@ -157,8 +165,8 @@ class Spectrum:
     unresolved: Tuple[complex, ...] = ()
     _coarse: Optional[_Collocation] = field(default=None, repr=False, compare=False)
 
-    def real_parts(self) -> np.ndarray:
-        return np.array([ev.real for ev in self.eigenvalues])
+    def real_parts(self) -> Tuple[float, ...]:
+        return tuple(ev.real for ev in self.eigenvalues)
 
     @cached_property
     def residuals(self) -> Tuple[float, ...]:
@@ -191,8 +199,8 @@ def dd_nn_residual(lam: complex, theta: float) -> complex:
     Zeros are exactly the pencil spectrum (lambda != 0 for the velocity pair).
     """
     lam = complex(lam)
-    return np.sin(lam * theta) * (lam ** 2 * math.sin(theta) ** 2
-                                  - np.sin(lam * theta) ** 2)
+    return cmath.sin(lam * theta) * (lam ** 2 * math.sin(theta) ** 2
+                                     - cmath.sin(lam * theta) ** 2)
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -270,6 +278,7 @@ def mu_real_root(theta: float) -> float:
 
 def _cheb(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Chebyshev differentiation matrix and Lobatto nodes on [-1, 1]."""
+    import numpy as np
     k = np.arange(n + 1)
     x = np.cos(np.pi * k / n)
     c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** k
@@ -286,7 +295,7 @@ def _cheb(n: int) -> Tuple[np.ndarray, np.ndarray]:
 _VELOCITY_TRACES = {0: "nrz", 1: "rz", 2: "n", 3: ""}
 
 
-_Coefficients = Tuple[np.ndarray, np.ndarray, np.ndarray]
+_Coefficients = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
 
 class _Collocation(NamedTuple):
@@ -310,6 +319,7 @@ def _mirror_basis(index: np.ndarray, partner: np.ndarray, sign: np.ndarray):
     sign[k] partner[k]: as (i, j, a, b) for the vectors a e_i + b e_j, that
     is (e_i + sign e_j)/sqrt(2) for each pair i < j, and e_i for each fixed
     point with sign +1."""
+    import numpy as np
     keep = (index < partner) | ((index == partner) & (sign > 0))
     i, j = index[keep], partner[keep]
     paired = j != i
@@ -347,6 +357,7 @@ def _blocks(p: DihedronPencil, n: int) -> _Collocation:
     """The collocated pencil, split as its rows are built (:class:`_Collocation`)."""
     if n < 8:
         raise ValueError("collocation size must be at least 8")
+    import numpy as np
     D1, x = _cheb(n)
     half = p.theta / 2.0
     phi = half * x                     # phi[0] = +theta/2, phi[n] = -theta/2
@@ -478,6 +489,7 @@ def _residual_bound(pencil: _Collocation, lam: complex) -> float:
     when lam is an eigenvalue of that block; an all-ones e is orthogonal to
     the odd null vectors of equal-condition wedges.
     """
+    import numpy as np
     T = [_evaluate(block, _upper(lam)) for block in pencil.blocks]
     best = math.inf
     for t in T:
@@ -546,6 +558,7 @@ def _linearization(coefficients: _Coefficients) -> Tuple[np.ndarray, np.ndarray,
     zero.  A block with no lam term (B = 0, the antiplane one: e_z has no
     e_r component) is linear in nu = lam^2, with L = A, M = -C, degree 2.
     """
+    import numpy as np
     A, B, C = coefficients
     if not B.any():
         return A, -C, 2
@@ -576,10 +589,19 @@ def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> n
     spectrum (a zero pivot, or a computed eigenvalue within ``_SHIFT_GAP``
     of sigma) is moved by ``_SHIFT_STEP`` of the window width.  A shift so
     far out that s, L - s M or K is not finite raises :class:`WindowError`.
+
+    So does a window so far out that rounding alone puts values next to
+    its shifts.  When every eigenvalue of K lies below K's rounding level
+    (its size times eps times its largest entry), all of them are noise, and
+    s + 1/mu of a noise mu can land next to s where no eigenvalue is.  If
+    every shift collides and one of them collided so, the error says that
+    the strip is too far out, not that the shifts lie on the spectrum.
     """
+    import numpy as np
     L, M, degree = _linearization(coefficients)
     keep = np.flatnonzero(M.any(axis=0))
     sigma = _shift(window)
+    rounded = None  # the first shift whose collision was rounding noise
     for _ in range(_SHIFT_MOVES + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             s = np.float64(sigma) ** degree  # a float past the range turns into inf, not an error
@@ -595,8 +617,9 @@ def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> n
             if not np.isfinite(K).all():
                 raise WindowError("the shift %r overflows the inverted pencil: the strip is too "
                                   "far out" % (sigma,))
+            mu = eig(K)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                nu = s + 1.0 / eig(K)
+                nu = s + 1.0 / mu
             nu = nu[np.isfinite(nu)]
             if degree == 1:
                 lam = nu
@@ -605,7 +628,13 @@ def _shift_invert(coefficients: _Coefficients, window: Tuple[float, float]) -> n
                 lam = np.concatenate([root, -root])
             if not np.any(np.abs(lam - sigma) <= _SHIFT_GAP * max(1.0, abs(sigma))):
                 return lam
+            if rounded is None and \
+                    np.abs(mu).max() <= len(K) * np.finfo(float).eps * np.abs(K).max():
+                rounded = sigma
         sigma += _SHIFT_STEP * (window[1] - window[0])
+    if rounded is not None:
+        raise WindowError("the shift %r collides with rounding noise, not with an eigenvalue: "
+                          "the strip is too far out" % (rounded,))
     raise WindowError("every shift tried in the window lies on the spectrum")
 
 
@@ -620,6 +649,7 @@ def _raw_eigenvalues(pencil: _Collocation, window: Tuple[float, float]) -> np.nd
     companion unknown lam u per interior velocity node gives 321 (161 + 160)
     and 128 (65 + 63).
     """
+    import numpy as np
     return np.concatenate([_shift_invert(block, window) for block in pencil.blocks])
 
 
@@ -642,8 +672,9 @@ def solve_spectrum(p: DihedronPencil, window: Tuple[float, float] = (0.0, 2.0),
     tested once.
     """
     re_lo, re_hi = window
-    if not re_lo < re_hi or not np.isfinite(re_lo) or not np.isfinite(re_hi):
+    if not re_lo < re_hi or not math.isfinite(re_lo) or not math.isfinite(re_hi):
         raise ValueError("window must be a bounded strip")
+    import numpy as np
     coarse_pencil = _blocks(p, n)
     coarse = _raw_eigenvalues(coarse_pencil, window)
     fine_pencil = _blocks(p, 2 * n)

@@ -8,9 +8,7 @@ examples and the published-value verification table.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from .geometry import BC_NAMES, BoundaryAssignment, Polyhedron, VertexBound
 
@@ -28,28 +26,26 @@ PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahed
 _PHI = (1 + math.sqrt(5)) / 2
 
 
-def _platonic_vertices(name: str) -> np.ndarray:
+def _platonic_vertices(name: str) -> List[Tuple[float, float, float]]:
     if name == "tetrahedron":
-        return np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+        return [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
     if name == "cube":
-        return np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
-                        dtype=float)
+        return [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
     if name == "octahedron":
-        return np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
-                         [0, 0, 1], [0, 0, -1]], dtype=float)
+        return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     if name == "icosahedron":
         pts = []
         for a in (-1.0, 1.0):
             for b in (-_PHI, _PHI):
-                pts += [[0, a, b], [a, b, 0], [b, 0, a]]
-        return np.array(pts)
+                pts += [(0, a, b), (a, b, 0), (b, 0, a)]
+        return pts
     if name == "dodecahedron":
-        pts = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        pts = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
         inv = 1 / _PHI
         for a in (-inv, inv):
             for b in (-_PHI, _PHI):
-                pts += [[0, a, b], [a, b, 0], [b, 0, a]]
-        return np.array(pts, dtype=float)
+                pts += [(0, a, b), (a, b, 0), (b, 0, a)]
+        return pts
     raise ValueError("unknown solid %r (expected one of %s)" % (name, ", ".join(PLATONIC_NAMES)))
 
 
@@ -100,7 +96,7 @@ def step_prism(height: float = 1.0) -> Polyhedron:
     for i in range(n):
         j = (i + 1) % n
         faces.append((i, j, j + n, i + n))          # side wall
-    return Polyhedron(np.array(verts), faces, name="step prism")
+    return Polyhedron(verts, faces, name="step prism")
 
 
 def with_conditions(poly: Polyhedron, default: int = 0,
@@ -114,8 +110,8 @@ def with_conditions(poly: Polyhedron, default: int = 0,
 
 def top_face(poly: Polyhedron) -> int:
     """Index of the face whose centroid has the largest z (used by fixtures)."""
-    heights = [poly.vertices[list(loop)][:, 2].mean() for loop in poly.faces]
-    return int(np.argmax(heights))
+    heights = [sum(poly.vertices[i][2] for i in loop) / len(loop) for loop in poly.faces]
+    return heights.index(max(heights))
 
 
 def slip_frustum() -> Polyhedron:
@@ -126,7 +122,7 @@ def slip_frustum() -> Polyhedron:
     """
     verts = [(x, y, 0.0) for x in (-1, 1) for y in (-1, 1)]
     verts += [(2 * x, 2 * y, 1.0) for x in (-1, 1) for y in (-1, 1)]
-    return Polyhedron(np.array(verts, dtype=float), _FACES["slip frustum"], name="slip frustum")
+    return Polyhedron(verts, _FACES["slip frustum"], name="slip frustum")
 
 
 def _yaml_string(text: str) -> str:
@@ -162,7 +158,7 @@ def domain_document(poly: Polyhedron, bc: BoundaryAssignment,
     lines.append("complement: %s" % ("true" if poly.complement else "false"))
     lines.append("vertices:")
     for p in poly.vertices:
-        lines.append("  - [%.17g, %.17g, %.17g]" % tuple(p))
+        lines.append("  - [%.17g, %.17g, %.17g]" % p)
     lines.append("faces:")
     for loop, d in zip(poly.faces, bc.values()):
         lines.append("  - {loop: [%s], bc: %s}" % (", ".join(map(str, loop)), BC_NAMES[d]))

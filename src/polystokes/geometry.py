@@ -11,6 +11,11 @@ Angles are always reported as measured inside the fluid.  An opening within
 comparisons downstream are exact and no rigid motion moves one across.
 Snapping never enters the vertex-cone predicate, which reads the unsnapped
 angles kept beside the edges.
+
+Everything here runs on the standard library: points, normals and
+directions are tuples of floats, and every dot product sums its three terms
+left to right, so an angle does not depend on a BLAS build's choice of
+summation order or fused multiply-adds.  Loading a domain loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
 import yaml
 
 __all__ = [
@@ -57,6 +61,9 @@ BC_INDEX = {
     "neumann": 3,
 }
 BC_NAMES = {v: k for k, v in BC_INDEX.items()}
+
+# a point or direction in space
+Vec = Tuple[float, float, float]
 
 # margin below which a direction counts as lying on a supporting plane
 _SUPPORT_TOL = 1e-9
@@ -109,7 +116,7 @@ class VertexCone:
     """
 
     vertex: int
-    normals: np.ndarray  # outward unit normals of the incident faces
+    normals: Tuple[Vec, ...]  # outward unit normals of the incident faces
     contained_in_half_space: bool
 
 
@@ -145,29 +152,57 @@ class BoundaryAssignment:
         return self.d
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, from their scalar components: the same
-    IEEE products and differences, without its per-call axis handling."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _sub(a: Vec, b: Vec) -> Vec:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+def _dot(a: Vec, b: Vec) -> float:
+    """The dot product, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: Vec, b: Vec) -> Vec:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _norm(v: Vec) -> float:
+    return math.sqrt(_dot(v, v))
+
+
+def _scaled(v: Vec, n: float) -> Vec:
+    """``v / n``, coordinate by coordinate."""
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _unit(v: Vec) -> Vec:
+    n = _norm(v)
     if n == 0:
         raise MeshError("zero-length vector")
-    return v / n
+    return _scaled(v, n)
 
 
-def _newell_normal(pts: np.ndarray) -> np.ndarray:
+def _newell_normal(pts: Sequence[Vec]) -> Vec:
     """Area-weighted face normal (Newell's method); robust for any planar loop."""
-    nrm = np.zeros(3)
+    x = y = z = 0.0
     for i in range(len(pts)):
-        a = pts[i]
-        b = pts[(i + 1) % len(pts)]
-        nrm += _cross(a, b)
-    return 0.5 * nrm
+        cx, cy, cz = _cross(pts[i], pts[(i + 1) % len(pts)])
+        x += cx
+        y += cy
+        z += cz
+    return (0.5 * x, 0.5 * y, 0.5 * z)
+
+
+def _triples(vertices) -> Tuple[Vec, ...]:
+    """``vertices``, any sequence of (x, y, z) triples, as float triples."""
+    try:
+        points = tuple((float(x), float(y), float(z)) for x, y, z in vertices)
+    except (TypeError, ValueError) as exc:
+        raise MeshError("vertices must be a sequence of (x, y, z) triples") from exc
+    if not points:
+        raise MeshError("vertices must be a sequence of (x, y, z) triples")
+    return points
 
 
 class Polyhedron:
@@ -175,17 +210,21 @@ class Polyhedron:
 
     Parameters
     ----------
-    vertices : (n, 3) array of points.
+    vertices : a sequence of (x, y, z) points, kept as ``vertices``, a tuple
+        of float triples.
     faces : vertex-index loops, counterclockwise seen from outside the solid.
     complement : if True the fluid fills the exterior of the solid.
     name : optional label.
     tol : relative tolerance for planarity/degeneracy checks, and the angle
         tolerance within which an opening snaps to a special opening.
+
+    ``face_normals`` (outward unit normals) and ``face_areas`` are tuples by
+    face, of float triples and floats.
     """
 
     def __init__(self, vertices, faces, complement: bool = False,
                  name: Optional[str] = None, tol: float = 1e-9):
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = _triples(vertices)
         self.faces = tuple(tuple(int(i) for i in loop) for loop in faces)
         self.complement = bool(complement)
         self.name = name
@@ -200,14 +239,11 @@ class Polyhedron:
     # -- construction checks -------------------------------------------------
 
     def _validate_basic(self):
-        V = self.vertices
-        if V.ndim != 2 or V.shape[1] != 3:
-            raise MeshError("vertices must be an (n, 3) array")
-        if not np.all(np.isfinite(V)):
+        if not all(math.isfinite(c) for p in self.vertices for c in p):
             raise MeshError("non-finite vertex coordinates")
         if len(self.faces) < 4:
             raise MeshError("a closed polyhedron needs at least 4 faces")
-        n = len(V)
+        n = len(self.vertices)
         for k, loop in enumerate(self.faces):
             if len(loop) < 3:
                 raise MeshError("face %d is degenerate: loop of %d vertices" % (k, len(loop)))
@@ -216,42 +252,42 @@ class Polyhedron:
             if any(i < 0 or i >= n for i in loop):
                 raise MeshError("face %d references an unknown vertex" % k)
         # a loop names each of its vertices once, so this counts incident faces
-        counts = np.bincount([i for loop in self.faces for i in loop], minlength=n)
-        few = np.flatnonzero(counts < 3)
-        if len(few):
+        counts = [0] * n
+        for loop in self.faces:
+            for i in loop:
+                counts[i] += 1
+        few = [i for i, count in enumerate(counts) if count < 3]
+        if few:
             raise MeshError("vertex %d has fewer than 3 incident faces" % few[0])
 
     @property
     def _diag(self) -> float:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        lo = tuple(min(c) for c in zip(*self.vertices))
+        hi = tuple(max(c) for c in zip(*self.vertices))
+        return _norm(_sub(hi, lo))
 
-    def _face_planes(self):
+    def _face_planes(self) -> Tuple[Tuple[Vec, ...], Tuple[float, ...]]:
         diag = self._diag
         if diag == 0:
             raise MeshError("degenerate mesh: zero bounding box")
-        normals = np.zeros((len(self.faces), 3))
-        areas = np.zeros(len(self.faces))
+        normals, areas = [], []
         for k, loop in enumerate(self.faces):
-            pts = self.vertices[list(loop)]
+            pts = [self.vertices[i] for i in loop]
             nrm = _newell_normal(pts)
-            area = np.linalg.norm(nrm)
+            area = _norm(nrm)
             if area <= self.tol * diag ** 2:
                 raise MeshError("face %d has zero area" % k)
-            normals[k] = nrm / area
-            areas[k] = area
+            normal = _scaled(nrm, area)
+            normals.append(normal)
+            areas.append(area)
             # planarity: every vertex close to the face plane
-            center = pts.mean(axis=0)
-            dist = np.abs((pts - center) @ normals[k])
-            if dist.max() > self.tol * diag:
+            center = _scaled(tuple(sum(c) for c in zip(*pts)), len(pts))
+            if max(abs(_dot(_sub(p, center), normal)) for p in pts) > self.tol * diag:
                 raise MeshError("face %d is not planar within tolerance" % k)
             for i in range(len(loop)):
-                a = pts[i]
-                b = pts[(i + 1) % len(loop)]
-                if np.linalg.norm(b - a) <= self.tol * diag:
+                if _norm(_sub(pts[(i + 1) % len(loop)], pts[i])) <= self.tol * diag:
                     raise MeshError("face %d contains a zero-length edge" % k)
-        return normals, areas
+        return tuple(normals), tuple(areas)
 
     def _derive_edges(self) -> Tuple[Tuple[Edge, ...], Tuple[float, ...]]:
         """The edges, and the solid's unsnapped dihedral angle at each (by
@@ -282,11 +318,11 @@ class Polyhedron:
 
     def _solid_dihedral(self, a: int, b: int, k_plus: int, k_minus: int) -> float:
         """Interior dihedral angle of the solid along edge (a, b)."""
-        e = _unit(self.vertices[b] - self.vertices[a])
+        e = _unit(_sub(self.vertices[b], self.vertices[a]))
         n1 = self.face_normals[k_plus]
         n2 = self.face_normals[k_minus]
-        s = float(np.dot(_cross(n1, n2), e))
-        c = float(-np.dot(n1, n2))
+        s = _dot(_cross(n1, n2), e)
+        c = -_dot(n1, n2)
         theta = math.atan2(s, c) % (2 * math.pi)
         if theta <= 0 or theta >= 2 * math.pi:
             raise MeshError("edge (%d, %d) has a degenerate dihedral angle" % (a, b))
@@ -297,8 +333,9 @@ class Polyhedron:
         if V - E + F != 2:
             raise MeshError("Euler characteristic V-E+F = %d != 2" % (V - E + F))
         # divergence-theorem closure: area vectors of a closed surface sum to zero
-        total = (self.face_normals * self.face_areas[:, None]).sum(axis=0)
-        if np.linalg.norm(total) > 1e-9 * self.face_areas.sum():
+        total = tuple(sum(c) for c in zip(*(
+            (a * n[0], a * n[1], a * n[2]) for n, a in zip(self.face_normals, self.face_areas))))
+        if _norm(total) > 1e-9 * sum(self.face_areas):
             raise MeshError("face area vectors do not close; mesh is not watertight")
         if self.signed_volume() <= 0:
             raise MeshError("negative enclosed volume; face loops are not oriented outward")
@@ -308,10 +345,10 @@ class Polyhedron:
     def signed_volume(self) -> float:
         vol = 0.0
         for loop in self.faces:
-            pts = self.vertices[list(loop)]
+            pts = [self.vertices[i] for i in loop]
             for i in range(1, len(loop) - 1):
-                vol += np.dot(pts[0], _cross(pts[i], pts[i + 1])) / 6.0
-        return float(vol)
+                vol += _dot(pts[0], _cross(pts[i], pts[i + 1])) / 6.0
+        return vol
 
     def is_convex(self) -> bool:
         """True iff the solid is convex and the fluid is its interior.
@@ -335,7 +372,7 @@ class Polyhedron:
         gens = self._sector_generators(vertex, faces)
         w = _supporting_normal(gens)
         contained = w is not None
-        if contained and (gens @ w).max() > _SUPPORT_TOL:
+        if contained and max(_dot(g, w) for g in gens) > _SUPPORT_TOL:
             # the open half-space w . x < 0 misses the boundary, so it is all
             # fluid or all solid (a boundary flat on the plane leaves a
             # half-space on either side): all solid exactly when the fluid's
@@ -349,9 +386,9 @@ class Polyhedron:
             solid = [self._solid_angles[e.id] for e in edges]
             fluid = sum(2 * math.pi - t if self.complement else t for t in solid)
             contained = fluid < len(edges) * math.pi
-        return VertexCone(vertex, self.face_normals[list(faces)], contained)
+        return VertexCone(vertex, tuple(self.face_normals[k] for k in faces), contained)
 
-    def _sector_generators(self, vertex: int, faces: Sequence[int]) -> np.ndarray:
+    def _sector_generators(self, vertex: int, faces: Sequence[int]) -> List[Vec]:
         """Edge rays and in-face corner bisectors of the face sectors at a vertex.
 
         Each face sector turns from the ray to the next loop vertex through the
@@ -365,13 +402,15 @@ class Polyhedron:
         for k in faces:
             loop = self.faces[k]
             i = loop.index(vertex)
-            a = _unit(self.vertices[loop[(i + 1) % len(loop)]] - v)
-            b = _unit(self.vertices[loop[(i - 1) % len(loop)]] - v)
+            a = _unit(_sub(self.vertices[loop[(i + 1) % len(loop)]], v))
+            b = _unit(_sub(self.vertices[loop[(i - 1) % len(loop)]], v))
             nf = self.face_normals[k]
             # interior corner angle of the face at v, in (0, 2*pi)
-            ang = math.atan2(float(np.dot(_cross(a, b), nf)), float(np.dot(a, b))) % (2 * math.pi)
-            out += [a, math.cos(ang / 2) * a + math.sin(ang / 2) * _cross(nf, a)]
-        return np.array(out)
+            ang = math.atan2(_dot(_cross(a, b), nf), _dot(a, b)) % (2 * math.pi)
+            c, s = math.cos(ang / 2), math.sin(ang / 2)
+            x = _cross(nf, a)
+            out += [a, (c * a[0] + s * x[0], c * a[1] + s * x[1], c * a[2] + s * x[2])]
+        return out
 
     def __repr__(self):
         return "Polyhedron(name=%r, V=%d, E=%d, F=%d, complement=%r)" % (
@@ -388,7 +427,7 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def graph_direction_feasible(normals: np.ndarray, tol: float = 1e-9) -> bool:
+def graph_direction_feasible(normals: Sequence[Vec], tol: float = 1e-9) -> bool:
     """Heuristic for the Lipschitz-graph property at a vertex: the cone
     boundary is a graph over some plane when a direction has strictly
     positive dot product with every incident outward face normal.
@@ -402,41 +441,56 @@ def graph_direction_feasible(normals: np.ndarray, tol: float = 1e-9) -> bool:
     Degenerate pairs and triples are skipped: a coplanar, antipodal or
     repeated set keeps its nearest point among the others.
     """
-    n = np.asarray(normals, dtype=float).reshape(-1, 3)
-    a, b = (n[i] for i in np.triu_indices(len(n), 1))
-    d = b - a
-    dd = (d * d).sum(axis=1)
-    keep = dd > 1e-24
-    pairs = a[keep] - ((a * d).sum(axis=1)[keep] / dd[keep])[:, None] * d[keep]
-    triples = np.array(list(itertools.combinations(range(len(n)), 3)), dtype=int).reshape(-1, 3)
-    a, b, c = (n[i] for i in triples.T)
-    nu = np.cross(b - a, c - a)
-    nn = (nu * nu).sum(axis=1)
-    keep = nn > 1e-24
-    planes = ((a * nu).sum(axis=1)[keep] / nn[keep])[:, None] * nu[keep]
-    cand = np.vstack([n, pairs, planes])
-    norms = np.linalg.norm(cand, axis=1)
-    cand = cand[norms > 1e-12] / norms[norms > 1e-12, None]
-    return len(cand) > 0 and bool((n @ cand.T).min(axis=0).max() > tol)
+    n = [(float(x), float(y), float(z)) for x, y, z in normals]
+    cand = list(n)
+    for a, b in itertools.combinations(n, 2):
+        d = _sub(b, a)
+        dd = _dot(d, d)
+        if dd > 1e-24:
+            t = _dot(a, d) / dd
+            cand.append((a[0] - t * d[0], a[1] - t * d[1], a[2] - t * d[2]))
+    for a, b, c in itertools.combinations(n, 3):
+        nu = _cross(_sub(b, a), _sub(c, a))
+        nn = _dot(nu, nu)
+        if nn > 1e-24:
+            t = _dot(a, nu) / nn
+            cand.append((t * nu[0], t * nu[1], t * nu[2]))
+    for w in cand:
+        norm = _norm(w)
+        if norm > 1e-12:
+            w = _scaled(w, norm)
+            if all(_dot(p, w) > tol for p in n):
+                return True
+    return False
 
 
-def _supporting_normal(gens: np.ndarray) -> Optional[np.ndarray]:
+def _supporting_normal(gens: Sequence[Vec]) -> Optional[Vec]:
     """A unit w with w . g >= -_SUPPORT_TOL for every generator g, or None.
 
     If some closed half-space through the origin holds every generator, one
     such half-space has two linearly independent generators on its boundary
     plane, so the candidates +-(g_i x g_j) are exhaustive.  The candidate with
-    the largest worst margin is returned; a zero margin (a generator on the
-    plane) is accepted.
+    the largest worst margin, the first of equals, is returned; a zero margin
+    (a generator on the plane) is accepted.
     """
-    i, j = np.triu_indices(len(gens), 1)
-    cand = np.cross(gens[i], gens[j])
-    norms = np.linalg.norm(cand, axis=1)
-    cand = cand[norms > 1e-12] / norms[norms > 1e-12, None]
-    cand = np.vstack([cand, -cand])
-    margins = (gens @ cand.T).min(axis=0)
-    best = int(np.argmax(margins))
-    return cand[best] if margins[best] >= -_SUPPORT_TOL else None
+    cand = []
+    for a, b in itertools.combinations(gens, 2):
+        c = _cross(a, b)
+        norm = _norm(c)
+        if norm > 1e-12:
+            cand.append(_scaled(c, norm))
+    cand += [(-x, -y, -z) for x, y, z in cand]
+    best, margin = None, -math.inf
+    for w in cand:
+        wx, wy, wz = w
+        # a candidate whose margin cannot exceed the best one is dropped at
+        # its first generator at or below that margin
+        for gx, gy, gz in gens:
+            if gx * wx + gy * wy + gz * wz <= margin:
+                break
+        else:
+            best, margin = w, min(gx * wx + gy * wy + gz * wz for gx, gy, gz in gens)
+    return best if margin >= -_SUPPORT_TOL else None
 
 
 # -- domain files ---------------------------------------------------------------

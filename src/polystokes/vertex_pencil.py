@@ -158,6 +158,60 @@ class StripFinding:
         return "; ".join(parts)
 
 
+def _mirror(x):
+    """-1 - x; a float (an R6 bound) rounds toward the energy line."""
+    if not isinstance(x, float):
+        return -1 - x
+    m = -1 - x
+    # fsum rounds the error m - (-1 - x) once, so its sign is exact; the
+    # exact mirror lies above the energy line exactly when x < -1/2
+    error = math.fsum((m, 1.0, x))
+    return math.nextafter(m, -0.5) if error and (error > 0) == (x < -0.5) else m
+
+
+def _symmetric_strip(strip: Interval) -> Interval:
+    """``strip`` (containing -1/2) closed under -1 - conj(lambda)."""
+    return strip.union(Interval(_mirror(strip.hi), _mirror(strip.lo),
+                                strip.hi_closed, strip.lo_closed))
+
+
+def _symmetric_values(exceptional: Sequence[Tuple[Fraction, str]]
+                      ) -> Tuple[Tuple[Fraction, str], ...]:
+    """(value, note) pairs with the mirror of each value added, by value."""
+    values = dict(exceptional)
+    for v, _ in exceptional:
+        values.setdefault(_mirror(v), "mirror of %s" % v)
+    return tuple(sorted(values.items()))
+
+
+# the rules R1-R5: strip, exceptional values and assumptions, each as stated
+_RULES = {
+    "R1": (Interval(_ENERGY_LINE, Fraction(0), True, True), (), ()),
+    "R2": (Interval(_ENERGY_LINE, Fraction(1), True, False),
+           ((Fraction(1), "constant-pressure eigenvector, no generalized eigenvectors"),),
+           ("cone contained in a half-space",)),
+    "R3": (Interval(Fraction(-1), Fraction(0), True, True),
+           ((Fraction(0), "rigid motion"),
+            (Fraction(1), "listed by the quoted statement although outside its strip")),
+           ("Lipschitz-graph polyhedron",)),
+    "R4": (Interval(Fraction(-1), Fraction(0), True, True), (), ()),
+    "R5": (Interval(_ENERGY_LINE, Fraction(1), True, True),
+           ((Fraction(1), "simple eigenvalue"),),
+           ("convex polyhedron", "single slip face with edge openings below pi/2")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _merged(rules: Tuple[str, ...]):
+    """The strips of ``rules`` (by catalogue number) merged, as stated and
+    closed under the mirror, with their exceptional values, mirrored, and
+    their assumptions: the same for every vertex the same rules cover."""
+    free = functools.reduce(Interval.union, (_RULES[r][0] for r in rules))  # all contain -1/2
+    exceptional = _symmetric_values([e for r in rules for e in _RULES[r][1]])
+    assumptions = tuple(dict.fromkeys(a for r in rules for a in _RULES[r][2]))
+    return free, _symmetric_strip(free), exceptional, assumptions
+
+
 def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
                     edge_pairs: Sequence[Tuple[int, int]],
                     override: Optional[VertexBound] = None, *,
@@ -168,63 +222,41 @@ def eigenfree_strip(cone: VertexCone, incident_d: Sequence[int],
     ``incident_d`` are the condition indices of the faces meeting the vertex,
     ``edge_pairs`` the index pairs across its incident edges.  ``slip_class``
     asserts the R5 configuration (checked by the caller on the whole domain).
-    Rules are tried from the most specific; every applicable strip is merged.
+    Rules are tried from the most specific; every applicable strip is merged,
+    and the merged strip and exceptional values are closed under the mirror.
     """
     ds = set(incident_d)
-    candidates: List[Tuple[str, Interval, Tuple[Tuple[Fraction, str], ...], Tuple[str, ...]]] = []
-    notes: List[str] = []
+    rules: List[str] = []  # by catalogue number
+    notes: Tuple[str, ...] = ()
     if ds == {0}:
-        if cone.contained_in_half_space:
-            candidates.append(("R2", Interval(_ENERGY_LINE, Fraction(1), True, False),
-                               ((Fraction(1), "constant-pressure eigenvector, "
-                                              "no generalized eigenvectors"),),
-                               ("cone contained in a half-space",)))
-        else:
-            candidates.append(("R1", Interval(_ENERGY_LINE, Fraction(0), True, True), (), ()))
+        rules.append("R2" if cone.contained_in_half_space else "R1")
     elif ds == {3}:
         if lipschitz_graph:
-            candidates.append(("R3", Interval(Fraction(-1), Fraction(0), True, True),
-                               ((Fraction(0), "rigid motion"),
-                                (Fraction(1), "listed by the quoted statement "
-                                              "although outside its strip")),
-                               ("Lipschitz-graph polyhedron",)))
+            rules.append("R3")
         else:
-            notes.append("all-stress vertex needs the Lipschitz-graph assumption; refusing to guess")
-    if slip_class and ds <= {0, 2} and 2 in ds:
-        candidates.append(("R5", Interval(_ENERGY_LINE, Fraction(1), True, True),
-                           ((Fraction(1), "simple eigenvalue"),),
-                           ("convex polyhedron", "single slip face with edge openings below pi/2")))
+            notes = ("all-stress vertex needs the Lipschitz-graph assumption; refusing to guess",)
     if max(ds) <= 2 and len(ds) >= 2 and all(0 in pair for pair in edge_pairs):
-        candidates.append(("R4", Interval(Fraction(-1), Fraction(0), True, True), (), ()))
-    if override is not None:
-        candidates.append(("R6", Interval(_ENERGY_LINE, override.bound, True, False), (),
-                           ("user bound via monotonicity over the enclosing circular cone: "
-                            + (override.note or "unattributed"),)))
-    if not candidates:
-        return StripFinding(cone.vertex, None, (), (), tuple(notes))
-    # order by catalogue number, merge all strips and exceptional values, mirror both
-    candidates.sort(key=lambda c: c[0])
-    free = functools.reduce(Interval.union, (c[1] for c in candidates))  # all contain -1/2
-    free, exceptional = _symmetric(free, [e for c in candidates for e in c[2]])
-    rules = tuple(c[0] for c in candidates)
-    assumptions = tuple(dict.fromkeys(a for c in candidates for a in c[3])) + tuple(notes)
-    return StripFinding(cone.vertex, free, exceptional, rules, assumptions)
-
-
-def _symmetric(strip: Optional[Interval], exceptional: Sequence[Tuple[Fraction, str]]):
-    """``strip`` (containing -1/2) and (value, note) pairs, closed under -1 - conj(lambda)."""
-    def mirror(x):  # a float (an R6 bound) rounds toward the energy line
-        if not isinstance(x, float):
-            return -1 - x
-        m, exact = -1 - x, -1 - Fraction(x)
-        return math.nextafter(m, -0.5) if (Fraction(m) - exact) * (exact - _ENERGY_LINE) > 0 else m
-    if strip is not None:
-        strip = strip.union(Interval(mirror(strip.hi), mirror(strip.lo),
-                                     strip.hi_closed, strip.lo_closed))
-    values = dict(exceptional)
-    for v, _ in exceptional:
-        values.setdefault(mirror(v), "mirror of %s" % v)
-    return strip, tuple(sorted(values.items()))
+        rules.append("R4")
+    if slip_class and ds <= {0, 2} and 2 in ds:
+        rules.append("R5")
+    if override is None:
+        if not rules:
+            return StripFinding(cone.vertex, None, (), (), notes)
+        _, free, exceptional, assumptions = _merged(tuple(rules))
+        return StripFinding(cone.vertex, free, exceptional, tuple(rules), assumptions + notes)
+    # R6, the one strip that depends on the input, is merged last and the
+    # merged strip mirrored, as for the catalogue strips: the union of the
+    # two mirrored strips could instead keep a closed catalogue end where
+    # the rounded mirror of the bound sits open at the same value
+    r6 = Interval(_ENERGY_LINE, override.bound, True, False)
+    free, exceptional, assumptions = r6, (), ()
+    if rules:
+        free, _, exceptional, assumptions = _merged(tuple(rules))
+        free = free.union(r6)
+    assumptions += ("user bound via monotonicity over the enclosing circular cone: "
+                    + (override.note or "unattributed"),)
+    return StripFinding(cone.vertex, _symmetric_strip(free), exceptional, tuple(rules) + ("R6",),
+                        tuple(dict.fromkeys(assumptions)) + notes)
 
 
 def strip_condition_holds(finding: StripFinding, target: Interval) -> Tuple[bool, str]:
@@ -246,10 +278,16 @@ def strip_condition_holds(finding: StripFinding, target: Interval) -> Tuple[bool
                   % (finding.vertex, target, finding.free, "+".join(finding.rules)))
 
 
+# the values every vertex pencil of a configuration must contain, with mirrors
+_KNOWN_EXCEPTIONAL = {kind: tuple(v for v, _ in _symmetric_values(
+    [(Fraction(v), "") for v in values])) for kind, values in
+    (("velocity-slip", (1,)), ("stress", (0, 1)), ("other", ()))}
+
+
 def known_exceptional(all_d: Sequence[int]) -> Tuple[Fraction, ...]:
     """Eigenvalues every vertex pencil of the configuration must contain, with mirrors:
     1 (zero velocity, constant pressure) with velocity/slip conditions only (0 and 2),
     0 (rigid motions) and 1 with stress everywhere, none with a tangential-velocity face."""
     ds = set(all_d)
-    values = (1,) if ds <= {0, 2} else (0, 1) if ds == {3} else ()
-    return tuple(v for v, _ in _symmetric(None, [(Fraction(v), "") for v in values])[1])
+    return _KNOWN_EXCEPTIONAL["velocity-slip" if ds <= {0, 2} else
+                              "stress" if ds == {3} else "other"]

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import glob
 import io
 import json
 import math
@@ -109,6 +110,19 @@ def test_pencil_non_finite_inverse_is_a_window_error(capsys, bc):
     assert out == "" and err.count("\n") == 1
     assert err.startswith("argument error: --window '0,1e160': the shift ")
     assert "overflows the inverted pencil" in err
+
+
+# the remaining pairs at --window 0,1e160: every shift collides with values
+# that rounding alone puts next to it, which used to be reported as every
+# shift lying on the spectrum
+@pytest.mark.parametrize("bc", ["0,1", "1,0", "1,2", "2,1"])
+def test_pencil_shift_among_rounding_noise_is_a_window_error(capsys, bc):
+    assert main(["pencil", "--theta", "1.3*pi", "--bc", bc, "--window", "0,1e160"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("argument error: --window '0,1e160': the shift ")
+    assert err.endswith(" collides with rounding noise, not with an eigenvalue: the strip is too "
+                        "far out\n")
 
 
 @settings(deadline=None)
@@ -541,6 +555,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in ops]
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def numpy_modules():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
 """
 
 
@@ -616,3 +632,37 @@ def test_fixtures_and_verify_paper_load_no_scipy(tmp_path):
     # the fixture solids are literal face tables
     got = _fresh_interpreter(_FIXTURE_OPS, tmp_path)
     assert got == {"codes": [0, 0, 0, 0, 0], "meshes": 12, "loaded": []}
+
+
+_NUMPY_FREE_OPS = """
+paths = json.loads(%r)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes += [cli.main(["analyze", "--input", path]) for path in paths]
+    codes.append(cli.main(["analyze", "--input", sys.argv[5], "--assume",
+                           "data,compatibility,small-data,lipschitz", "--format", "json"]))
+print(json.dumps({"codes": codes, "loaded": numpy_modules()}))
+"""
+
+
+def test_analyze_on_closed_forms_loads_no_numpy(tmp_path):
+    # geometry is pure Python and the collocation solver imports numpy on
+    # its first solve: the shipped domains, the lean ops and the all-neumann
+    # cube under every assumption take closed forms and class bounds only
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(SHIPPED_CUBE), "*.domain")))
+    assert len(paths) == 5
+    got = _fresh_interpreter(_NUMPY_FREE_OPS % json.dumps(paths), tmp_path)
+    assert got == {"codes": [0] * 10, "loaded": []}
+
+
+_PENCIL_OPS = """
+before = numpy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["pencil", "--theta", "1.3*pi", "--bc", "1,3", "--n", "8"]))
+print(json.dumps({"codes": codes, "before": before, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_pencil_loads_numpy(tmp_path):
+    # the collocation solver still runs on numpy, imported where it is needed
+    got = _fresh_interpreter(_PENCIL_OPS, tmp_path)
+    assert got == {"codes": [0] * 5, "before": [], "numpy": True}

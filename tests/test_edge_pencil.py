@@ -380,7 +380,7 @@ def _halves_of_the_whole_block(whole, block_rows, block_cols, row_mirror, col_mi
 
 def test_spectrum_step_window():
     spec = solve_spectrum(DihedronPencil(1.5 * math.pi, 0, 0), (0.0, 1.0), n=32)
-    res = spec.real_parts()
+    res = np.asarray(spec.real_parts())
     assert np.min(np.abs(res - 0.54448373)) < 1e-6
     assert not spec.unresolved
 

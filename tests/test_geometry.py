@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from polystokes import fixtures as fx
@@ -107,7 +107,7 @@ def test_malformed_fields_rejected(malformed_cube_documents):
 
 def test_document_numbers_without_a_point_load(cube):
     # %.17g writes 1e22 as "1e+22", which YAML reads as a string
-    big = Polyhedron(cube.vertices * 1e22, cube.faces)
+    big = Polyhedron(np.asarray(cube.vertices) * 1e22, cube.faces)
     doc = fx.domain_document(big, fx.with_conditions(big, 0), {0: VertexBound(1e20, "far")})
     assert "[-1e+22, -1e+22, -1e+22]" in doc and "bound: 1e+20" in doc
     poly, bc, bounds = loads_polyhedron(doc)
@@ -121,7 +121,7 @@ def test_unparsable_document():
 
 def _loaded(text):
     poly, bc, bounds = loads_polyhedron(text)
-    return (poly.vertices.tolist(), poly.faces, poly.complement, poly.name, bc.values(),
+    return (np.asarray(poly.vertices).tolist(), poly.faces, poly.complement, poly.name, bc.values(),
             {v: (b.bound, b.note) for v, b in bounds.items()})
 
 
@@ -269,7 +269,7 @@ def test_flat_vertex_is_contained_on_both_sides(cube):
     # split the top face into four triangles around its centre: the centre's
     # faces are coplanar, so interior and exterior fluid are both half-spaces
     top = cube.faces[fx.top_face(cube)]
-    verts = np.vstack([cube.vertices, cube.vertices[list(top)].mean(axis=0)])
+    verts = np.vstack([cube.vertices, np.asarray(cube.vertices)[list(top)].mean(axis=0)])
     c = len(cube.vertices)
     fan = [(top[i], top[(i + 1) % 4], c) for i in range(4)]
     faces = [f for f in cube.faces if f != top] + fan
@@ -396,7 +396,7 @@ def test_cone_side_is_decided_at_the_vertex():
              ((0, 0, 10), (5, 10, 10.001)))
     for complement in (False, True):
         poly = box_union(*grid, boxes, complement=complement)
-        tip = int(np.flatnonzero((poly.vertices == (50, 10, 10)).all(axis=1))[0])
+        tip = int(np.flatnonzero((np.asarray(poly.vertices) == (50, 10, 10)).all(axis=1))[0])
         thetas = [e.theta for e in poly.incident_edges(tip)]
         assert thetas == [(1.5 if complement else 0.5) * math.pi] * 3
         assert poly.vertex_cone(tip).contained_in_half_space is not complement
@@ -430,8 +430,9 @@ def test_vertex_needs_three_faces():
 
 def test_area_vectors_close(cube, step):
     for poly in (cube, step):
-        total = (poly.face_normals * poly.face_areas[:, None]).sum(axis=0)
-        assert np.linalg.norm(total) < 1e-9 * poly.face_areas.sum()
+        areas = np.asarray(poly.face_areas)
+        total = (np.asarray(poly.face_normals) * areas[:, None]).sum(axis=0)
+        assert np.linalg.norm(total) < 1e-9 * areas.sum()
 
 
 def test_euler_characteristic(step):
@@ -485,13 +486,13 @@ def test_face_table_is_the_convex_hull(name):
     # the convex hull that built these meshes at run time, kept as the
     # reference: the same faces, face order and loop starts
     poly = _fixture(name)
-    assert fx._FACES[name] == _hull_faces(poly.vertices)
+    assert fx._FACES[name] == _hull_faces(np.asarray(poly.vertices))
     assert poly.faces == fx._FACES[name]
 
 
 @pytest.mark.parametrize("name", FIXTURE_SOLIDS)
 def test_face_loops_are_planar_and_outward(name):
-    vertices = _fixture(name).vertices
+    vertices = np.asarray(_fixture(name).vertices)
     for loop in fx._FACES[name]:
         pts = vertices[list(loop)]
         origin = pts.mean(axis=0)
@@ -504,6 +505,80 @@ def test_face_loops_are_planar_and_outward(name):
     for complement in (False, True):
         poly = Polyhedron(vertices, fx._FACES[name], complement=complement)
         assert len(poly.vertices) - len(poly.edges) + len(poly.faces) == 2
+
+
+# -- the tuple geometry against a numpy reference --------------------------------
+
+def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, summed left to right as numpy sums
+    three terms; a BLAS dot (``np.dot``, ``@``) may fuse multiply-adds."""
+    return (a * b).sum(axis=-1)
+
+
+def _reference_geometry(poly: Polyhedron):
+    """The solid's dihedral angle at each edge and the vertex-cone predicate
+    at each vertex, computed on numpy arrays as geometry computed them before
+    it moved to tuples of floats: the vectorized supporting-plane candidates,
+    the first of the best worst margins, and the angle-sum side test."""
+    V = np.asarray(poly.vertices)
+    normals = []
+    for loop in poly.faces:
+        pts = V[list(loop)]
+        nrm = 0.5 * np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+        normals.append(nrm / np.sqrt(_sum_products(nrm, nrm)))
+    N = np.array(normals)
+    ends = np.array([e.endpoints for e in poly.edges])
+    sides = np.array([e.adjacent_faces for e in poly.edges])
+    e = V[ends[:, 1]] - V[ends[:, 0]]
+    e = e / np.sqrt(_sum_products(e, e))[:, None]
+    n1, n2 = N[sides[:, 0]], N[sides[:, 1]]
+    solid = [math.atan2(s, c) % (2 * math.pi) for s, c in
+             zip(_sum_products(np.cross(n1, n2), e).tolist(), (-_sum_products(n1, n2)).tolist())]
+    cones = []
+    for v in range(len(V)):
+        gens = []
+        for k in poly.incident_faces(v):
+            loop = poly.faces[k]
+            i = loop.index(v)
+            a, b = V[loop[(i + 1) % len(loop)]] - V[v], V[loop[i - 1]] - V[v]
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            ang = math.atan2(np.cross(a, b) @ N[k], a @ b) % (2 * math.pi)
+            gens += [a, math.cos(ang / 2) * a + math.sin(ang / 2) * np.cross(N[k], a)]
+        G = np.array(gens)
+        i, j = np.triu_indices(len(G), 1)
+        cand = np.cross(G[i], G[j])
+        norms = np.linalg.norm(cand, axis=1)
+        cand = cand[norms > 1e-12] / norms[norms > 1e-12, None]
+        cand = np.vstack([cand, -cand])
+        margins = (G @ cand.T).min(axis=0)
+        best = int(np.argmax(margins))
+        contained = bool(margins[best] >= -geometry._SUPPORT_TOL)
+        if contained and (G @ cand[best]).max() > geometry._SUPPORT_TOL:
+            edges = poly.incident_edges(v)
+            fluid = sum(2 * math.pi - solid[x.id] if poly.complement else solid[x.id]
+                        for x in edges)
+            contained = fluid < len(edges) * math.pi
+        cones.append(contained)
+    return solid, cones
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(FIXTURE_SOLIDS + ("step prism",)), complement=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.2, 5.0),
+       shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_geometry_is_the_numpy_reference(name, complement, seed, scale, shift):
+    # a fixture solid under a rigid motion and a scaling: the same unsnapped
+    # openings to the bit, so the same snapped ones, and the same cone sides
+    poly = fx.step_prism() if name == "step prism" else _fixture(name)
+    verts = np.asarray(poly.vertices) @ rotation(np.random.default_rng(seed)).T * scale + shift
+    moved = Polyhedron(verts, poly.faces, complement=complement)
+    solid, cones = _reference_geometry(moved)
+    assert [t.hex() for t in moved._solid_angles] == [t.hex() for t in solid]
+    assert [e.theta for e in moved.edges] == [
+        geometry.special_opening(2 * math.pi - t if complement else t, moved.tol)[0]
+        for t in solid]
+    assert [moved.vertex_cone(v).contained_in_half_space
+            for v in range(len(moved.vertices))] == cones
 
 
 # -- the Lipschitz-graph direction ------------------------------------------------

@@ -402,7 +402,7 @@ def test_uncertified_edge_exponent_gives_unknown(cube, monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(ep, "mu_numeric", no_window)
     bounds = {v: VertexBound(0.9, "test bound") for v in range(len(cube.vertices))}
-    heights = [cube.vertices[list(loop)][:, 2].mean() for loop in cube.faces]
+    heights = [np.asarray(cube.vertices)[list(loop)][:, 2].mean() for loop in cube.faces]
     bc = fx.with_conditions(cube, 2, {int(np.argmax(heights)): 3, int(np.argmin(heights)): 3})
     numeric = {e.id for e in cube.edges if 3 in bc.pair(e)}
     assert len(numeric) == 8
