@@ -434,8 +434,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse reads a value that starts with '-' as an option unless it looks
+# like '-1' or '-0.5': a weight such as '-1/2', '-1e400' or '-1/2,0' after
+# --beta or --delta is joined to it, so that it reads like '--beta=-1/2'
+_WEIGHT_OPTIONS = ("--beta", "--delta")
+_NEGATIVE_WEIGHT = re.compile(r"-[0-9.]")
+
+
+def _join_negative_weights(argv: Sequence[str]) -> List[str]:
+    joined: List[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _WEIGHT_OPTIONS and _NEGATIVE_WEIGHT.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_weights(argv))
     if args.n < _MIN_N:
         print("%s: --n %d is below the smallest collocation size %d"
               % (args.error, args.n, _MIN_N), file=sys.stderr)

@@ -32,8 +32,8 @@ from .edge_pencil import MuValue, WindowError, class_bound, edge_exponent
 from .geometry import (BoundaryAssignment, Edge, Polyhedron, VertexBound,
                        graph_direction_feasible)
 from .spaces import Eps, as_eps
-from .vertex_pencil import (_ENERGY_LINE, INF, Interval, StripFinding, eigenfree_strip,
-                            known_exceptional, strip_condition_holds)
+from .vertex_pencil import (_ENERGY_LINE, INF, Interval, StripFinding, _strip_reason,
+                            eigenfree_strip, known_exceptional)
 
 __all__ = [
     "DataFlags",
@@ -90,6 +90,14 @@ class ProblemSpec:
         theta, numeric_n): the edges of one wedge share one computation."""
         return {}
 
+    @functools.cached_property
+    def _decided(self) -> Dict[tuple, tuple]:
+        """Each distinct condition decided on this spec, by what decides it
+        (:func:`_vertex_condition`, :func:`_edge_condition`,
+        :func:`_scanned_vertex`): the vertices and edges that share it copy
+        the result, and only their index is formatted per record."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RegularityQuery:
@@ -118,6 +126,14 @@ class RegularityQuery:
         else:
             if self.sigma is None or not 0 < self.sigma < 1:
                 raise ValueError("Holder targets need sigma in (0, 1)")
+        if isinstance(self.sigma if self.target in ("C1", "C2") else self.s, float):
+            # float arithmetic with the exponent: each weight needs a float value
+            for x in _entries(self.beta) + _entries(self.delta):
+                try:
+                    float(x.val if isinstance(x, Eps) else x)
+                except OverflowError:
+                    raise ValueError("with a float s or sigma every weight must lie in "
+                                     "the float range (up to 1.8e308)") from None
 
     def betas(self, n: int) -> Tuple[Eps, ...]:
         b = self.beta if isinstance(self.beta, (tuple, list)) else (self.beta,) * n
@@ -132,9 +148,12 @@ class RegularityQuery:
         return tuple(as_eps(x) for x in d)
 
     def is_nonweighted(self) -> bool:
-        bs = self.beta if isinstance(self.beta, (tuple, list)) else (self.beta,)
-        ds = self.delta if isinstance(self.delta, (tuple, list)) else (self.delta,)
-        return all(as_eps(x) == 0 for x in bs) and all(as_eps(x) == 0 for x in ds)
+        return all(as_eps(x) == 0 for x in _entries(self.beta) + _entries(self.delta))
+
+
+def _entries(weights) -> tuple:
+    """The entries of a scalar or per-vertex/per-edge weight."""
+    return tuple(weights) if isinstance(weights, (tuple, list)) else (weights,)
 
 
 @dataclass(frozen=True)
@@ -286,6 +305,11 @@ def _strip_for(level: Eps, anchor_closed: bool) -> Interval:
     if level >= anchor:
         return Interval(anchor, level, anchor_closed, True)
     return Interval(level, anchor, True, anchor_closed)
+
+
+def _strip_data(finding: StripFinding) -> tuple:
+    """What a vertex condition reads of a finding: all of it but the vertex."""
+    return finding.free, finding.exceptional, finding.rules, finding.assumptions
 
 
 # -- the rule table -----------------------------------------------------------------
@@ -464,6 +488,52 @@ def _s_window(window: Interval, c, k) -> Interval:
         Interval(_quotient(k, b - c, b_closed), s_hi[0], b_closed, s_hi[1]))
 
 
+def _vertex_condition(spec: ProblemSpec, finding: StripFinding, level: Eps,
+                      anchor_closed: bool) -> Tuple[str, bool, str, str, bool]:
+    """The vertex condition of ``check`` at ``level``: the target strip's text,
+    the verdict, its explanation (without the vertex), the finding's
+    description, and whether a guaranteed eigenvalue lies in the target.
+    The level's number type is part of the key, since the texts show it."""
+    key = ("vertex", _strip_data(finding), level, type(level.val), anchor_closed)
+    decided = spec._decided.get(key)
+    if decided is None:
+        target = _strip_for(level, anchor_closed)
+        decided = spec._decided[key] = (
+            str(target), _level_window(finding, anchor_closed).contains(level),
+            _strip_reason(finding, target)[1], finding.describe(),
+            any(target.contains(g) for g in known_exceptional(spec.bc.values())))
+    return decided
+
+
+def _edge_condition(spec: ProblemSpec, rule: _Rule, mu: MuValue,
+                    weighted: Eps) -> Tuple[bool, str, bool]:
+    """The edge condition of ``check``: the verdict, the requirement text,
+    and whether a class bound missed a window that a larger exponent would
+    meet.  The weighted value's number type is part of the key, as above."""
+    key = ("edge", rule.target, mu, weighted, type(weighted.val))
+    decided = spec._decided.get(key)
+    if decided is None:
+        ok = _edge_window(rule, mu).contains(weighted)
+        decided = spec._decided[key] = (
+            ok, rule.edge_requirement % weighted,
+            not ok and mu.is_lower_bound and _edge_window(rule, _UNBOUNDED).contains(weighted))
+    return decided
+
+
+def _scanned_vertex(spec: ProblemSpec, finding: StripFinding,
+                    order: int) -> Tuple[Optional[Interval], str, str, str]:
+    """The s-window ``max_s`` reads from a vertex at zero weights (None when
+    no rule applies), its text, the certified strip's text and the finding's
+    description."""
+    key = ("scan", _strip_data(finding), order)
+    decided = spec._decided.get(key)
+    if decided is None:
+        window = None if finding.unknown else _s_window(_level_window(finding, True), order, -3)
+        decided = spec._decided[key] = (window, str(window), str(finding.free),
+                                        finding.describe())
+    return decided
+
+
 # -- the theorem checks -------------------------------------------------------------
 
 def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> RegularityReport:
@@ -499,8 +569,9 @@ def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> Reg
                 floors_ok = False
                 rep.notes.append(floor.note.format(i))
     edges_ok, any_unknown = True, False
+    resonances = [as_eps(k) + sigma for k in range(rule.order)] if holder else ()
     for e, dk in zip(spec.poly.edges, deltas):
-        if holder and (dk < 0 or any(dk == as_eps(k) + sigma for k in range(rule.order))):
+        if holder and (dk < 0 or dk in resonances):
             why = ("edge weights must be nonnegative" if dk < 0
                    else "delta equals an excluded resonance value")
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
@@ -511,11 +582,10 @@ def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> Reg
             rep.edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
             any_unknown = True
             continue
-        weighted = dk - sigma if holder else dk + two_s
-        ok = _edge_window(rule, mu).contains(weighted)
-        rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance,
-                                   rule.edge_requirement % weighted, ok))
-        if not ok and mu.is_lower_bound and _edge_window(rule, _UNBOUNDED).contains(weighted):
+        ok, requirement, missed = _edge_condition(
+            spec, rule, mu, dk - sigma if holder else dk + two_s)
+        rep.edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance, requirement, ok))
+        if missed:
             # a larger exponent would meet the window: the bound certifies nothing
             any_unknown = True
             rep.notes.append("edge %d: the guaranteed exponent bound could not certify "
@@ -524,26 +594,24 @@ def check(spec: ProblemSpec, query: RegularityQuery, numeric_n: int = 32) -> Reg
             edges_ok = edges_ok and ok
     # vertices: no eigenvalues in the strip between -1/2 and the level line
     findings = spec.findings
-    guaranteed = known_exceptional(spec.bc.values())
     row = _row_fallback(spec, rule.target) if not holder and query.is_nonweighted() else None
     vertices_ok, definite_fail = True, False
     for v, b in enumerate(betas):
         f = findings[v]
         level = (as_eps(rule.order) + sigma - b if holder
                  else as_eps(rule.order) - b - three_s)
-        target = _strip_for(level, anchor_closed=not holder)
-        ok = _level_window(f, not holder).contains(level)
-        why = strip_condition_holds(f, target)[1]  # the explanation of that verdict
+        requirement, ok, why, finding, guaranteed = _vertex_condition(spec, f, level, not holder)
+        why = "vertex %d: %s" % (v, why)
         if not ok and f.unknown and row is not None and row.interval.contains(query.s):
             ok, why = True, "class result %s: admissible interval %s" % (row.row_id, row.interval)
             rep.citations.append("class:%s" % row.row_id)
-        if not ok and any(target.contains(g) for g in guaranteed):
+        if not ok and guaranteed:
             definite_fail = True
             if rule.kind != "existence":
                 why += "; a guaranteed eigenvalue of this configuration lies in the strip"
         elif not ok and f.unknown:
             any_unknown = True
-        rep.vertices.append(VertexCheck(v, f.describe(), str(target), ok, why))
+        rep.vertices.append(VertexCheck(v, finding, requirement, ok, why))
         vertices_ok = vertices_ok and ok
         rep.citations.extend("vertex-rule:%s" % r for r in f.rules)
     rep.citations = sorted(set(rep.citations))
@@ -612,18 +680,19 @@ def max_s(spec: ProblemSpec, target: str, numeric_n: int = 32) -> RegularityRepo
     conditional = False
     row = _row_fallback(spec, target)  # every row max_s scans has the class-row fallback
     for v, f in spec.findings.items():
+        window, text, strip, finding = _scanned_vertex(spec, f, rule.order)
         if f.unknown and row is None:
             conditional = True
-            rep.vertices.append(VertexCheck(v, f.describe(), "-", False,
+            rep.vertices.append(VertexCheck(v, finding, "-", False,
                                             "no rule; interval conditional on overrides"))
             continue
         if f.unknown:
             iv, label = row.interval, "vertex %d (no rule) by class result %s" % (v, row.row_id)
+            text = str(iv)
             rep.citations.append("class:%s" % row.row_id)
         else:
-            iv = _s_window(_level_window(f, True), rule.order, -3)
-            label = "vertex %d strip %s" % (v, f.free)
-        rep.vertices.append(VertexCheck(v, f.describe(), str(iv), True, label))
+            iv, label = window, "vertex %d strip %s" % (v, strip)
+        rep.vertices.append(VertexCheck(v, finding, text, True, label))
         constraints.append((iv, label, label))
     # name the ends of the interval by the constraints that set them
     result = _EVERYTHING

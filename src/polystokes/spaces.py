@@ -43,40 +43,52 @@ class Eps:
     k: int = 0
 
     def __add__(self, other):
-        other = as_eps(other)
-        return Eps(self.val + other.val, self.k + other.k)
+        if isinstance(other, Eps):
+            return Eps(self.val + other.val, self.k + other.k)
+        return Eps(self.val + other, self.k)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_eps(other)
-        return Eps(self.val - other.val, self.k - other.k)
+        if isinstance(other, Eps):
+            return Eps(self.val - other.val, self.k - other.k)
+        return Eps(self.val - other, self.k)
 
     def __rsub__(self, other):
-        return as_eps(other) - self
+        return Eps(other - self.val, -self.k)
 
     def __neg__(self):
         return Eps(-self.val, -self.k)
 
+    # a plain number is x + 0*eps: compared as (x, 0) without wrapping it
     def __eq__(self, other):
-        o = as_eps(other)
-        return self.val == o.val and self.k == o.k
+        if isinstance(other, Eps):
+            return self.val == other.val and self.k == other.k
+        return self.val == other and self.k == 0
 
     def __hash__(self):
-        return hash((float(self.val), self.k))
+        # equal to the plain number's hash when k == 0, as ``==`` requires
+        return hash(self.val) if self.k == 0 else hash((self.val, self.k))
 
     def __lt__(self, other):
-        o = as_eps(other)
-        return (self.val, self.k) < (o.val, o.k)
+        if isinstance(other, Eps):
+            return (self.val, self.k) < (other.val, other.k)
+        return (self.val, self.k) < (other, 0)
 
     def __le__(self, other):
-        return self < other or self == other
+        if isinstance(other, Eps):
+            return (self.val, self.k) <= (other.val, other.k)
+        return (self.val, self.k) <= (other, 0)
 
     def __gt__(self, other):
-        return as_eps(other) < self
+        if isinstance(other, Eps):
+            return (self.val, self.k) > (other.val, other.k)
+        return (self.val, self.k) > (other, 0)
 
     def __ge__(self, other):
-        return as_eps(other) <= self
+        if isinstance(other, Eps):
+            return (self.val, self.k) >= (other.val, other.k)
+        return (self.val, self.k) >= (other, 0)
 
     def __str__(self):
         if self.k == 0:

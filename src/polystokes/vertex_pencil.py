@@ -265,17 +265,22 @@ def strip_condition_holds(finding: StripFinding, target: Interval) -> Tuple[bool
     Endpoint openness is respected on both sides: an exceptional eigenvalue
     at an open target endpoint does not block, at a closed one it does.
     """
+    ok, reason = _strip_reason(finding, target)
+    return ok, "vertex %d: %s" % (finding.vertex, reason)
+
+
+def _strip_reason(finding: StripFinding, target: Interval) -> Tuple[bool, str]:
+    """:func:`strip_condition_holds` without the vertex in its reason: the
+    same for every vertex whose finding has the same strip data."""
     if finding.unknown:
-        return False, "vertex %d: %s" % (finding.vertex, finding.describe())
+        return False, finding.describe()
     if not finding.free.contains_interval(target):
-        return False, ("vertex %d: required %s not inside certified %s"
-                       % (finding.vertex, target, finding.free))
+        return False, "required %s not inside certified %s" % (target, finding.free)
     for value, note in finding.exceptional:
         if target.contains(value):
-            return False, ("vertex %d: exceptional eigenvalue %g (%s) lies in required %s"
-                           % (finding.vertex, value, note, target))
-    return True, ("vertex %d: %s covered by %s via %s"
-                  % (finding.vertex, target, finding.free, "+".join(finding.rules)))
+            return False, ("exceptional eigenvalue %g (%s) lies in required %s"
+                           % (value, note, target))
+    return True, "%s covered by %s via %s" % (target, finding.free, "+".join(finding.rules))
 
 
 # the values every vertex pencil of a configuration must contain, with mirrors

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import glob
+import hashlib
 import io
 import json
 import math
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from polystokes import edge_pencil
 from polystokes import fixtures as fx
-from polystokes.cli import (FixtureRow, main, verification_rows, parse_theta,
-                            run_fixture_rows)
+from polystokes.cli import (FixtureRow, _join_negative_weights, build_parser, main,
+                            verification_rows, parse_theta, run_fixture_rows)
 from polystokes.edge_pencil import DihedronPencil, pencil_residual
 from polystokes.geometry import BoundaryAssignment, VertexBound
 
@@ -485,6 +486,67 @@ def test_analyze_s_beyond_the_float_range_is_input_error(capsys):
     assert main(["analyze", "--input", SHIPPED_CUBE, "--target", "w1", "--s", "1e309"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("input error: ") and "float range" in err
+
+
+_ALL_TARGETS = ["--target", "w1", "--target", "w2", "--target", "c1", "--target", "c2",
+                "--target", "exist", "--s", "5/2", "--sigma", "1/4"]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _reports_digest(capsys, weights):
+    """Exit code and sha256 of the JSON reports (class results left out) of
+    every target on the shipped cube at s = 5/2, sigma = 1/4 with ``weights``."""
+    rc = main(["analyze", "--input", SHIPPED_CUBE, "--format", "json"] + _ALL_TARGETS + weights)
+    payload = json.loads(capsys.readouterr().out)
+    payload.pop("class_results")
+    return rc, _sha256(json.dumps(payload, sort_keys=True))
+
+
+# the stdout and the reports as the per-vertex and per-edge evaluation wrote them
+@pytest.mark.parametrize("weights, text, reports", [
+    (["--beta", "1e400"], "2f8b3df9bea0091f5fb766f56737b24eccb981204f12cfc0158f1a3ee3c1ebdb",
+     "abde04fe531aae2aa2761defb1df4651dbac7bff9b38df8e745f3fc9ad160a41"),
+    (["--delta", "1e400"], "b2d213de83ebbd02822606ba66b8a1e645c83817ac1b275afe7b28eddd5b4438",
+     "8fad564ae2137ab4b3c8434baff509b120ce04c173faf461e5405fdf5904b397"),
+    (["--beta=-1e400"], "a8d8c56a08d95e4462b912ab0e9fa230b2801b225ccadc2022b02e76fccec271",
+     "3f05f089ef9ec21c9280bbebaeebb2f46b805f49aa5fa6d9c3ff9d7e65f86918"),
+    (["--delta=-1e400"], "a8d8c56a08d95e4462b912ab0e9fa230b2801b225ccadc2022b02e76fccec271",
+     "a10a217c7203fbae500757650ec12ab3589ea1603d9f6485fb34bccdb7588cea")])
+def test_analyze_weights_beyond_the_float_range(capsys, weights, text, reports):
+    # the decided conditions are keyed on the exact weighted values: a weight
+    # that has no float value is a key like any other
+    assert main(["analyze", "--input", SHIPPED_CUBE] + _ALL_TARGETS + weights) == 0
+    assert _sha256(capsys.readouterr().out) == text
+    assert _reports_digest(capsys, weights) == (0, reports)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--beta", "-1/2"), ("--beta", "-1/2,0,0,0,0,0,0,0"), ("--beta", "-1e400"),
+    ("--delta", "-1e400"), ("--delta", "-1/4"), ("--beta", "-0.5"), ("--delta", "-.25")])
+def test_analyze_negative_weight_reads_like_its_equals_form(capsys, option, value):
+    assert _reports_digest(capsys, [option, value]) == \
+        _reports_digest(capsys, ["%s=%s" % (option, value)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "x", "--s", "2", "--beta", "-0.5", "--delta", "-1"],
+    ["analyze", "--input", "x", "--s", "2", "--beta=-1/2", "--delta=-1e400,0"],
+    ["analyze", "--input", "x", "--s", "2", "--beta", "1/2", "--delta", "1e400"],
+    ["analyze", "--input", "x", "--beta", "-1", "--beta", "-2"],
+    ["pencil", "--theta", "-1", "--bc", "0,0", "--window=-1,2"]])
+def test_joining_negative_weights_keeps_what_parsed(argv):
+    # every argv argparse already read reads the same after the join
+    parser = build_parser()
+    assert parser.parse_args(_join_negative_weights(argv)) == parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [["--beta", "-x"], ["--beta", "--delta", "1"],
+                                  ["--beta", "-h"], ["--beta"]])
+def test_joining_leaves_options_alone(argv):
+    assert _join_negative_weights(argv) == argv
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -7,17 +8,20 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polystokes import fixtures as fx
 from polystokes.edge_pencil import MuValue
 from polystokes.geometry import BoundaryAssignment, VertexCone, load_polyhedron
-from polystokes.regularity import (_RULES, DataFlags, Interval, ProblemSpec,
-                                   RegularityQuery, RegularityReport, _edge_window,
-                                   _level_window, _s_window, check,
+from polystokes.regularity import (_RULES, TARGETS, DataFlags, EdgeCheck, Interval,
+                                   ProblemSpec, RegularityQuery, RegularityReport, VertexCheck,
+                                   _edge_exponent, _edge_window, _level_window,
+                                   _row_fallback, _s_window, _strip_for, check,
                                    decision_table, matching_rows, max_s,
                                    vertex_findings)
 from polystokes.spaces import Eps, as_eps
-from polystokes.vertex_pencil import INF, eigenfree_strip
+from polystokes.vertex_pencil import (INF, eigenfree_strip, known_exceptional,
+                                      strip_condition_holds)
 
 from conftest import ALL_FLAGS
 from test_golden_reports import library_specs
@@ -55,6 +59,21 @@ def test_missing_data_flag_gives_unknown(step):
     rep = check(spec, RegularityQuery("W1", s=F(4)))
     assert rep.verdict == "unknown"
     assert any("not asserted" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("target, exponent", [("W1", 1.5), ("EXIST", 2.5), ("C1", 0.25)])
+@pytest.mark.parametrize("weight", ["beta", "delta"])
+def test_huge_weight_with_a_float_exponent_is_refused(target, exponent, weight):
+    # a float s or sigma makes the arithmetic float: a weight with no float
+    # value is refused up front, where an exact exponent keeps it exact
+    holder = target == "C1"
+    for huge in (F(10) ** 400, Eps(-F(10) ** 400, 1), (0, F(10) ** 400)):
+        with pytest.raises(ValueError, match="float range"):
+            RegularityQuery(target, s=None if holder else exponent,
+                            sigma=exponent if holder else None, **{weight: huge})
+        exact = F(exponent).limit_denominator()
+        RegularityQuery(target, s=None if holder else exact,
+                        sigma=exact if holder else None, **{weight: huge})
 
 
 def test_s_beyond_the_float_range_is_refused(cube_dirichlet):
@@ -685,6 +704,165 @@ def test_class_rows_serve_only_vertices_without_a_rule():
                 (name, rep.target)
             cited += bool(by_class)
     assert cited > 0
+
+
+# -- decided conditions ------------------------------------------------------------
+#
+# A spec decides each distinct vertex and edge condition once and copies the
+# result into every record that shares it.  The property below recomputes each
+# record alone, and compares a spec that served other queries with a fresh one.
+
+@functools.cache
+def _served_specs():
+    """Every agreement spec, the Platonic solids inside and out with velocity
+    everywhere, and the existence-only golden spec; each serves every
+    example of the property, so its table fills up as the search runs."""
+    specs = {name: (spec, TARGETS) for name, spec in _agreement_specs().items()}
+    for name in fx.PLATONIC_NAMES:
+        for complement in (False, True):
+            poly = fx.platonic(name, complement=complement)
+            specs["%s%s" % (name, " exterior" if complement else "")] = (
+                ProblemSpec(poly, fx.with_conditions(poly, 0), ALL_FLAGS), TARGETS)
+    specs.update((name, (spec, ("EXIST",))) for name, spec in library_specs()[1].items())
+    return specs
+
+# equal values of different types (their texts differ), Eps neighbours,
+# negative values and values with no float value
+_HUGE = F(10) ** 400
+_WEIGHT_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, F(1, 2), 0.5, F(-1, 2), -0.5, 1, F(1), 1.0, F(3, 2), 1.5,
+                     F(1, 4), 0.25, 2, F(5, 4), _HUGE, -_HUGE]),
+    st.fractions(-3, 3, max_denominator=12),
+    st.floats(-3, 3))
+_WEIGHTS = st.one_of(_WEIGHT_VALUES,
+                     st.builds(Eps, _WEIGHT_VALUES, st.integers(-2, 2).filter(bool)))
+# the levels and weighted edge values a query may be built to reach, so that
+# targets of different kinds and exponents meet at one key
+_LEVELS = st.sampled_from([F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), -0.5, 0.5,
+                           Eps(F(-1, 2), 1), Eps(F(0), -1), Eps(F(1), 1)])
+_WEIGHTED = st.sampled_from([F(0), F(1, 4), F(1, 2), F(1), F(3, 2), F(2), 0.5, 1.5,
+                             Eps(F(1), 1), Eps(F(2), -1)])
+_S = st.one_of(st.sampled_from([F(6, 5), 1.2, F(4, 3), F(3, 2), 1.5, 2, F(2), 2.0,
+                                F(5, 2), 2.5, 3, F(3), F(7, 2), F(10) ** 308]),
+               st.fractions(F(11, 10), 5, max_denominator=13).filter(lambda s: s > 1),
+               st.floats(1.01, 5))
+_SIGMA = st.one_of(st.sampled_from([F(1, 4), 0.25, F(1, 2), 0.5, F(3, 4)]),
+                   st.fractions(F(1, 20), F(19, 20), max_denominator=20),
+                   st.floats(0.01, 0.99))
+
+
+def _weights(data, count, values, shift=None):
+    """One weight for all, or one per vertex or edge; with ``shift`` each
+    drawn value v is the level or weighted value to reach, and the weight is
+    ``shift(v)``."""
+    shift = shift or (lambda v: v)
+    if data.draw(st.booleans()):
+        return shift(data.draw(values))
+    return tuple(shift(v) for v in data.draw(st.lists(values, min_size=count, max_size=count)))
+
+
+def _query(data, spec, targets):
+    """A random weighted query: its weights drawn freely, or built to reach
+    drawn levels and weighted edge values."""
+    target = data.draw(st.sampled_from(targets))
+    rule = _RULES[target]
+    holder = rule.kind == "holder"
+    exponent = data.draw(_SIGMA if holder else _S)
+    nv, ne = len(spec.poly.vertices), len(spec.poly.edges)
+    if data.draw(st.booleans()):
+        beta, delta = _weights(data, nv, _WEIGHTS), _weights(data, ne, _WEIGHTS)
+    else:
+        order = as_eps(rule.order)
+        if holder:
+            sigma = as_eps(exponent)
+            beta = _weights(data, nv, _LEVELS, lambda v: order + sigma - v)
+            delta = _weights(data, ne, _WEIGHTED, lambda v: v + sigma)
+        else:  # 3/s and 2/s as check computes them
+            inv = F(1) / F(exponent) if isinstance(exponent, (int, F)) else 1.0 / exponent
+            beta = _weights(data, nv, _LEVELS, lambda v: order - as_eps(3 * inv) - v)
+            delta = _weights(data, ne, _WEIGHTED, lambda v: v - as_eps(2 * inv))
+    try:
+        return RegularityQuery(target, s=None if holder else exponent,
+                               sigma=exponent if holder else None, beta=beta, delta=delta)
+    except ValueError as exc:
+        # float arithmetic cannot hold a weight that has no float value
+        assert isinstance(exponent, float) and "float range" in str(exc)
+        return None
+
+
+def _records_alone(spec, query, numeric_n=32):
+    """The edge and vertex records of ``check``, each computed for its edge or
+    vertex alone, without the spec's table of decided conditions."""
+    rule = _RULES[query.target]
+    holder = rule.kind == "holder"
+    if holder:
+        sigma = as_eps(query.sigma)
+    else:
+        inv = F(1) / F(query.s) if isinstance(query.s, (int, F)) else 1.0 / query.s
+        two_s, three_s = as_eps(2 * inv), as_eps(3 * inv)
+    edges = []
+    for e, dk in zip(spec.poly.edges, query.deltas(len(spec.poly.edges))):
+        if holder and (dk < 0 or any(dk == as_eps(k) + sigma for k in range(rule.order))):
+            why = ("edge weights must be nonnegative" if dk < 0
+                   else "delta equals an excluded resonance value")
+            edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
+            continue
+        mu, why = _edge_exponent(spec, e, rule, numeric_n)
+        if mu is None:
+            edges.append(EdgeCheck(e.id, e.theta, 0.0, "-", why, False))
+            continue
+        weighted = dk - sigma if holder else dk + two_s
+        edges.append(EdgeCheck(e.id, e.theta, mu.value, mu.provenance,
+                               rule.edge_requirement % weighted,
+                               _edge_window(rule, mu).contains(weighted)))
+    guaranteed = known_exceptional(spec.bc.values())
+    row = _row_fallback(spec, rule.target) if not holder and query.is_nonweighted() else None
+    vertices = []
+    findings = vertex_findings(spec)
+    for v, b in enumerate(query.betas(len(spec.poly.vertices))):
+        f = findings[v]
+        level = (as_eps(rule.order) + sigma - b if holder
+                 else as_eps(rule.order) - b - three_s)
+        target = _strip_for(level, anchor_closed=not holder)
+        ok = _level_window(f, not holder).contains(level)
+        why = strip_condition_holds(f, target)[1]
+        if not ok and f.unknown and row is not None and row.interval.contains(query.s):
+            ok, why = True, "class result %s: admissible interval %s" % (row.row_id, row.interval)
+        if not ok and any(target.contains(g) for g in guaranteed) and rule.kind != "existence":
+            why += "; a guaranteed eigenvalue of this configuration lies in the strip"
+        vertices.append(VertexCheck(v, f.describe(), str(target), ok, why))
+    return edges, vertices
+
+
+def _outcome(fn, spec, arg):
+    try:
+        return fn(spec, arg).to_dict()
+    except ValueError as exc:  # the existence result needs a velocity face on every edge
+        return "ValueError: %s" % exc
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_decided_conditions_are_the_records_alone(data):
+    name = data.draw(st.sampled_from(sorted(_served_specs())))
+    spec, targets = _served_specs()[name]
+    for _ in range(data.draw(st.integers(1, 3))):
+        query = _query(data, spec, targets)
+        if query is None:
+            continue
+        calls = [(check, query)]
+        if query.target in ("W1", "W2", "EXIST") and data.draw(st.booleans()):
+            calls.append((max_s, query.target))
+        for fn, arg in calls:
+            # the spec has served earlier queries; the fresh one has decided nothing
+            served = _outcome(fn, spec, arg)
+            assert served == _outcome(fn, dataclasses.replace(spec), arg), (name, arg)
+        if isinstance(served, str):
+            continue
+        rep = check(spec, query)
+        edges, vertices = _records_alone(spec, query)
+        assert rep.edges == edges, (name, query)
+        assert rep.vertices == vertices, (name, query)
 
 
 def test_matching_rows(cube_dirichlet, step_dirichlet, cube_neumann_top):

@@ -1,8 +1,11 @@
 from dataclasses import replace
 from fractions import Fraction as F
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polystokes.spaces import (Eps, SpaceDescriptor as SD, embeds, holder_embeds,
                                sigma_exponents)
@@ -41,6 +44,36 @@ def test_eps_resolution_rule():
 def test_eps_arithmetic():
     assert Eps(F(1), 1) - F(1, 2) == Eps(F(1, 2), 1)
     assert -Eps(F(1), 2) == Eps(F(-1), -2)
+
+
+@pytest.mark.parametrize("x", [2, -3, F(7, 3), F(-1, 2), 2.5, -0.25, 10 ** 400])
+def test_eps_hash_agrees_with_equality(x):
+    # equal objects hash equal, so a plain number and its Eps find each other
+    assert Eps(x) == x and hash(Eps(x)) == hash(x)
+    assert {Eps(x): "eps"}.get(x) == "eps"
+    assert {x: "plain"}.get(Eps(x)) == "plain"
+    assert hash(Eps(F(x))) == hash(Eps(x))  # Fraction, int and float agree
+
+
+def test_eps_hash_of_a_value_beyond_the_float_range():
+    huge = F(10 ** 400)
+    assert hash(Eps(huge)) == hash(huge)
+    assert hash(Eps(huge, 1)) == hash((huge, 1))
+    assert {Eps(huge, 1): 1}.get(Eps(huge, 1)) == 1 and Eps(huge, 1) != huge
+
+
+_PLAIN = st.one_of(st.integers(-10 ** 400, 10 ** 400), st.fractions(max_denominator=50),
+                   st.floats(allow_nan=False),
+                   st.integers(-4, 4).map(lambda n: F(n, 2)))
+
+
+@given(val=_PLAIN, k=st.integers(-2, 2), other=_PLAIN)
+def test_eps_compares_plain_numbers_as_eps(val, k, other):
+    # a plain operand compares as other + 0*eps, on either side
+    x, y = Eps(val, k), Eps(other, 0)
+    for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+        assert op(x, other) == op(x, y) == op((val, k), (other, 0)), op
+        assert op(other, x) == op(y, x), op
 
 
 # -- descriptor validation ----------------------------------------------------------
