@@ -773,13 +773,13 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             Interval(F(2), F(3), False, True),
             lambda sp: _all_d(sp, 0),
             "edge exponents exceed 1/2 (upper edge limit 4); the generic vertex "
-            "strip [-1/2, 0] caps 1-3/s at 0, closed endpoint s = 3"),
+            "strip [-1, 0] caps 1-3/s at 0, closed endpoint s = 3"),
         DecisionRow(
             "velocity-convex-W1", "W1",
             "velocity prescribed everywhere, convex polyhedron",
             Interval(F(2), INF, False, True),
             lambda sp: _all_d(sp, 0) and sp.poly.is_convex(),
-            "edge exponents exceed 1; half-space vertex strip [-1/2, 1) never "
+            "edge exponents exceed 1; half-space vertex strip (-2, 1) never "
             "caps 1-3/s; only the weight window s > 2 remains"),
         DecisionRow(
             "velocity-any-W2", "W2",
@@ -871,7 +871,7 @@ def decision_table() -> Tuple[DecisionRow, ...]:
             Interval(F(1), F(2), False, True),
             lambda sp: _slip_class(sp),
             "every edge exponent exceeds 1: closed endpoint 2; the vertex strip "
-            "[-1/2, 1] minus the simple eigenvalue 1 is not binding"),
+            "[-2, 1] minus the simple eigenvalues -2 and 1 is not binding"),
         DecisionRow(
             "slip-one-face-W2-narrow", "W2",
             "as above with slip edges below 3*pi/8 and the rest below 3*pi/4",
